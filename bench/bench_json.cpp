@@ -1,17 +1,16 @@
-// Machine-readable perf tracking: runs the micro/index/analysis/parallel/
-// spill/numa/serving/executor headline workloads and emits
-// BENCH_micro.json / BENCH_index.json / BENCH_analysis.json /
-// BENCH_parallel.json / BENCH_spill.json / BENCH_numa.json /
-// BENCH_service.json / BENCH_executor.json / BENCH_andor.json
-// (nodes/sec, cells_copied per
-// expansion, trail writes per expansion, copy-on-steal traffic,
-// claim-wait latency, local vs remote steal split, queries/sec, cache
-// hit rate, persistent-pool vs spawn-per-query qps + tail latency,
-// and unified AND/OR scheduler speedup + join cost),
-// so the perf trajectory of the engine is recorded PR over PR. Every file carries a "host" record (NUMA node
-// count, CPUs per node, CPU model) so baselines compared across
-// heterogeneous machines stay interpretable. CI's perf-gate job compares
-// this output against bench/baselines/ with tools/bench_compare.py.
+// Machine-readable perf tracking: runs the micro/index/analysis/spill/
+// numa/serving/executor headline workloads and emits BENCH_micro.json /
+// BENCH_index.json / BENCH_analysis.json / BENCH_spill.json /
+// BENCH_numa.json / BENCH_service.json / BENCH_executor.json /
+// BENCH_andor.json (nodes/sec, cells_copied per expansion, trail writes
+// per expansion, copy-on-steal traffic, claim-wait latency, local vs
+// remote steal split, queries/sec, cache hit rate, persistent-pool qps +
+// tail latency, and unified AND/OR scheduler speedup + join cost), so the
+// perf trajectory of the engine is recorded change over change. Every
+// file carries a "host" record (NUMA node count, CPUs per node, CPU model)
+// so baselines compared across heterogeneous machines stay interpretable.
+// CI's perf-gate job compares this output against bench/baselines/ with
+// tools/bench_compare.py.
 //
 //   ./bench_json [output-dir]
 #include <algorithm>
@@ -76,12 +75,10 @@ struct Entry {
   // Trail traffic (analysis entries): cumulative Trail::push calls.
   bool has_trail = false;
   std::uint64_t trail_writes = 0;
-  // Scheduler traffic (parallel entries only).
+  // Scheduler and copy-on-steal traffic (parallel entries only).
   bool has_sched = false;
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t steals = 0;
-  // Copy-on-steal traffic (spill entries only).
-  bool has_spill = false;
   std::uint64_t handles_published = 0;
   std::uint64_t handles_reclaimed = 0;
   std::uint64_t handles_granted = 0;
@@ -146,9 +143,8 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
           << e.trail_writes_per_expansion();
     if (e.has_sched)
       out << ", \"lock_acquisitions\": " << e.lock_acquisitions
-          << ", \"steals\": " << e.steals;
-    if (e.has_spill)
-      out << ", \"handles_published\": " << e.handles_published
+          << ", \"steals\": " << e.steals
+          << ", \"handles_published\": " << e.handles_published
           << ", \"handles_reclaimed\": " << e.handles_reclaimed
           << ", \"handles_granted\": " << e.handles_granted
           << ", \"handles_migrated\": " << e.handles_migrated;
@@ -226,18 +222,13 @@ Entry run_lookup_batch(const std::string& name, const std::string& program,
 
 Entry run_parallel(const std::string& name, const std::string& program,
                    const std::string& query, unsigned workers,
-                   parallel::SchedulerKind sched,
-                   parallel::ParallelOptions::SpillPolicy spill,
-                   std::size_t max_nodes = 1'000'000,
-                   std::size_t local_capacity = 8, bool adaptive = false,
-                   bool claim_mailboxes = true) {
+                   std::size_t max_nodes, std::size_t local_capacity,
+                   bool adaptive, bool claim_mailboxes = true) {
   engine::Interpreter ip;
   ip.consult_string(program);
   parallel::ParallelOptions po;
   po.workers = workers;
   po.update_weights = false;
-  po.scheduler = sched;
-  po.spill_policy = spill;
   po.limits.max_nodes = max_nodes;
   po.local_capacity = local_capacity;
   po.adaptive_capacity = adaptive;
@@ -262,7 +253,6 @@ Entry run_parallel(const std::string& name, const std::string& program,
   }
   e.solutions = r.solutions.size();
   e.has_sched = true;
-  e.has_spill = spill == parallel::ParallelOptions::SpillPolicy::Lazy;
   e.lock_acquisitions = r.network.lock_acquisitions;
   e.steals = r.network.steals;
   e.steals_local = r.network.steals_local;
@@ -391,6 +381,7 @@ ServiceEntry run_service(unsigned clients, double serial_cold_qps) {
   return e;
 }
 
+/// `serial_cold_qps` > 0 adds the serial-cold baseline row.
 void write_service_json(const std::string& path,
                         const std::vector<ServiceEntry>& entries,
                         double serial_cold_qps,
@@ -400,8 +391,9 @@ void write_service_json(const std::string& path,
   out << "{\n";
   write_host(out);
   for (const auto& [k, v] : summary) out << "  \"" << k << "\": " << v << ",\n";
-  out << "  \"serial_cold\": {\"queries_per_sec\": " << serial_cold_qps
-      << "},\n";
+  if (serial_cold_qps > 0.0)
+    out << "  \"serial_cold\": {\"queries_per_sec\": " << serial_cold_qps
+        << "},\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const ServiceEntry& e = entries[i];
     out << "  \"" << e.name << "\": {"
@@ -424,20 +416,15 @@ void write_service_json(const std::string& path,
 }
 
 // ---------------------------------------------------------------- executor --
-// The persistent-pool headline: the same 16-client mixed storm (queries
-// drawn from the pool, all parallel requests, cache OFF so every request
-// actually searches) served two ways — "spawn" is the legacy path
-// (use_executor = false: every query spawns, pins and joins its own worker
-// threads on the calling thread) and "pool" is the executor (workers
-// created and pinned once; each query is an enqueued job). Identical
-// request multisets, identical admission settings; the difference is
-// per-query thread lifecycle cost, which is exactly what the executor
-// removes. bench_compare gates pool_qps_speedup >= 2x and
-// pool_p99_improvement >= 1 (pool p99 must not exceed spawn p99).
+// The persistent-pool headline: a 16-client mixed storm (queries drawn
+// from a short pool, all parallel requests, cache OFF so every request
+// actually searches) served by the executor — workers created and pinned
+// once, each query an enqueued job. bench_compare gates its
+// queries_per_sec and latency percentiles against the committed baseline.
 
 /// Short queries: per-request work is tens of microseconds, so the fixed
-/// per-query cost — thread spawn/pin/join in legacy mode, one enqueue in
-/// pool mode — is the measured quantity rather than search time.
+/// per-query cost (parse, admission, enqueue, hand-off, render) is the
+/// measured quantity rather than search time.
 const std::vector<std::string>& storm_pool() {
   static const std::vector<std::string> pool = {
       "gf(sam,G)", "gf(dan,G)", "gf(X,Z)", "f(X,Y)",
@@ -445,13 +432,11 @@ const std::vector<std::string>& storm_pool() {
   return pool;
 }
 
-ServiceEntry run_executor_storm(const std::string& name, bool use_pool,
-                                unsigned clients) {
+ServiceEntry run_executor_storm(const std::string& name, unsigned clients) {
   service::ServiceOptions so;
   so.cache_enabled = false;  // measure execution, not the answer cache
   so.update_weights = false;
   so.max_concurrent_queries = 8;
-  so.use_executor = use_pool;
   service::QueryService svc(so);
   svc.consult(service_program());
 
@@ -465,7 +450,7 @@ ServiceEntry run_executor_storm(const std::string& name, bool use_pool,
         req.text = storm_pool()[(static_cast<std::size_t>(c) * 31u +
                                  static_cast<std::size_t>(i) * 7u) %
                                 storm_pool().size()];
-        req.workers = 2;  // every request pays the spawn in legacy mode
+        req.workers = 2;
         req.strategy = i % 3 == 0 ? search::Strategy::DepthFirst
                                   : search::Strategy::BestFirst;
         svc.query(req);
@@ -693,102 +678,26 @@ int main(int argc, char** argv) {
   }
   write_json(dir + "BENCH_analysis.json", analysis, analysis_summary);
 
-  // Old (single-lock GlobalFrontier) vs new (work-stealing) scheduler on
-  // the wide-DAG and deep-recursion workloads, with lock/steal traffic.
-  // The deep workload is an unbounded binary-tree recursion whose every
-  // path is failed at the end ("..., fail"): no solutions to extract, so
-  // it measures pure scheduler + expansion throughput under a fixed node
-  // budget. local_capacity 2 keeps it scheduler-bound (every expansion
-  // spills), which is exactly the traffic the rewrite targets.
+  // Copy-on-steal on the deep binary-countdown: an unbounded binary-tree
+  // recursion whose every path is failed at the end ("..., fail"), so
+  // there are no solutions to extract and the run measures pure scheduler
+  // + expansion throughput under a fixed node budget. local_capacity 2
+  // makes every expansion share (publish a handle); the copy is paid only
+  // for chains a thief actually claims, so cells_copied/expansion stays
+  // near zero while nodes/sec holds.
   const std::string deep =
       "t(l). t(n(L,R)) :- t(L), t(R). probe :- t(T), fail.";
   constexpr std::size_t kDeepNodes = 60'000;
   constexpr std::size_t kDeepCapacity = 2;
-  using Spill = parallel::ParallelOptions::SpillPolicy;
-  // "_global" = the legacy stack exactly as PR 1 shipped it (single-lock
-  // GlobalFrontier, eager spilling); "_steal" = the new stack (per-worker
-  // deques with steal-half, spills materialized only under starvation).
-  std::vector<Entry> par;
-  for (const unsigned w : {1u, 2u, 4u, 8u}) {
-    for (const auto [sched, spill, tag] :
-         {std::tuple{parallel::SchedulerKind::GlobalFrontier, Spill::Eager,
-                     "_global"},
-          std::tuple{parallel::SchedulerKind::WorkStealing,
-                     Spill::WhenStarving, "_steal"}}) {
-      par.push_back(run_parallel("dag_w" + std::to_string(w) + tag, dag,
-                                 "path(n0_0,Z,P)", w, sched, spill));
-      par.push_back(run_parallel("deep_w" + std::to_string(w) + tag, deep,
-                                 "probe", w, sched, spill, kDeepNodes,
-                                 kDeepCapacity));
-    }
-  }
-  // Headline ratios: work-stealing vs single-lock at 8 workers on the
-  // deep-recursion workload (nodes/sec up, lock acquisitions down).
-  std::vector<std::pair<std::string, double>> par_summary;
-  {
-    const Entry *global = nullptr, *steal = nullptr;
-    for (const Entry& e : par) {
-      if (e.name == "deep_w8_global") global = &e;
-      if (e.name == "deep_w8_steal") steal = &e;
-    }
-    if (global && steal) {
-      par_summary.emplace_back("deep_w8_steal_speedup",
-                               global->nodes_per_sec() > 0.0
-                                   ? steal->nodes_per_sec() / global->nodes_per_sec()
-                                   : 0.0);
-      par_summary.emplace_back(
-          "deep_w8_lock_reduction",
-          steal->lock_acquisitions > 0
-              ? static_cast<double>(global->lock_acquisitions) /
-                    static_cast<double>(steal->lock_acquisitions)
-              : 0.0);
-    }
-  }
-  write_json(dir + "BENCH_parallel.json", par, par_summary);
-
-  // Copy-on-steal headline: eager spill materialization (the paper's
-  // naive cost model surviving at the scheduler layer) vs lazy
-  // SpillHandles + adaptive capacity (the new default stack), same deep
-  // binary-countdown workload. local_capacity 2 makes every expansion
-  // share, the worst case for eager copying; under lazy handles the copy
-  // is paid only for chains a thief actually claims, so
-  // cells_copied/expansion collapses while nodes/sec holds.
   std::vector<Entry> sp;
-  for (const unsigned w : {1u, 2u, 4u, 8u}) {
-    sp.push_back(run_parallel("deep_w" + std::to_string(w) + "_eager", deep,
-                              "probe", w,
-                              parallel::SchedulerKind::WorkStealing,
-                              Spill::Eager, kDeepNodes, kDeepCapacity));
+  for (const unsigned w : {1u, 2u, 4u, 8u})
     sp.push_back(run_parallel("deep_w" + std::to_string(w) + "_lazy", deep,
-                              "probe", w,
-                              parallel::SchedulerKind::WorkStealing,
-                              Spill::Lazy, kDeepNodes, kDeepCapacity,
+                              "probe", w, kDeepNodes, kDeepCapacity,
                               /*adaptive=*/true));
-  }
-  std::vector<std::pair<std::string, double>> sp_summary;
-  {
-    const Entry *eager = nullptr, *lazy = nullptr;
-    for (const Entry& e : sp) {
-      if (e.name == "deep_w8_eager") eager = &e;
-      if (e.name == "deep_w8_lazy") lazy = &e;
-    }
-    if (eager != nullptr && lazy != nullptr) {
-      // Floor the lazy denominator: a run with zero thefts copies zero
-      // cells, and the reduction would be infinite.
-      sp_summary.emplace_back(
-          "deep_w8_copy_reduction",
-          eager->cells_per_expansion() /
-              std::max(lazy->cells_per_expansion(), 1e-3));
-      sp_summary.emplace_back("deep_w8_lazy_speedup",
-                              eager->nodes_per_sec() > 0.0
-                                  ? lazy->nodes_per_sec() / eager->nodes_per_sec()
-                                  : 0.0);
-    }
-  }
-  write_json(dir + "BENCH_spill.json", sp, sp_summary);
+  write_json(dir + "BENCH_spill.json", sp);
 
   // Locality-aware scheduling headline: the same deep binary-countdown
-  // under copy-on-steal, with the legacy claim-wait spin vs claim-wait
+  // under copy-on-steal, with the bounded claim-wait spin vs claim-wait
   // mailboxes. Mailboxes eliminate the thief-side spin/sleep on claimed
   // handles by construction (claim_wait_spins collapses to ~0) while the
   // claim→deposit latency (claim_wait_us) overlaps useful scanning; the
@@ -800,8 +709,7 @@ int main(int argc, char** argv) {
     for (const auto [mail, tag] :
          {std::pair{false, "_spin"}, std::pair{true, "_mailbox"}}) {
       Entry e = run_parallel("deep_w" + std::to_string(w) + tag, deep,
-                             "probe", w, parallel::SchedulerKind::WorkStealing,
-                             Spill::Lazy, kDeepNodes, kDeepCapacity,
+                             "probe", w, kDeepNodes, kDeepCapacity,
                              /*adaptive=*/false, mail);
       e.has_numa = true;
       numa.push_back(e);
@@ -849,28 +757,11 @@ int main(int argc, char** argv) {
   for (const unsigned c : {1u, 4u, 16u}) svc.push_back(run_service(c, serial_qps));
   write_service_json(dir + "BENCH_service.json", svc, serial_qps);
 
-  // Persistent pool vs spawn-per-query, identical 16-client storm.
-  std::vector<ServiceEntry> exec_entries;
-  exec_entries.push_back(
-      run_executor_storm("storm_c16_spawn", /*use_pool=*/false, 16));
-  exec_entries.push_back(
-      run_executor_storm("storm_c16_pool", /*use_pool=*/true, 16));
-  std::vector<std::pair<std::string, double>> exec_summary;
-  {
-    const ServiceEntry& spawn = exec_entries[0];
-    const ServiceEntry& pool = exec_entries[1];
-    exec_summary.emplace_back(
-        "pool_qps_speedup", spawn.qps() > 0.0 ? pool.qps() / spawn.qps() : 0.0);
-    // Floor the denominator: a sub-bucket pool p99 reads as 0.0 ms.
-    exec_summary.emplace_back(
-        "pool_p99_improvement",
-        spawn.latency_p99_ms / std::max(pool.latency_p99_ms, 0.05));
-    exec_summary.emplace_back(
-        "storm_answers_match",
-        spawn.answers_match_cold && pool.answers_match_cold ? 1.0 : 0.0);
-  }
-  write_service_json(dir + "BENCH_executor.json", exec_entries,
-                     serial_qps, exec_summary);
+  // Persistent pool under the 16-client short-query storm.
+  const ServiceEntry pool = run_executor_storm("storm_c16_pool", 16);
+  write_service_json(
+      dir + "BENCH_executor.json", {pool}, /*serial_cold_qps=*/0.0,
+      {{"storm_answers_match", pool.answers_match_cold ? 1.0 : 0.0}});
 
   // Unified AND/OR scheduler (§7 riding §6's machinery): the sequential
   // andp path (per-group sequential engine solves) vs the unified

@@ -39,8 +39,6 @@ struct AndParallelOptions {
   /// (default). false = the pre-unification per-group sequential solves.
   bool unified = true;
   unsigned workers = 4;  ///< unified path: scheduler worker threads
-  /// Which scheduler realizes the partition on the unified path.
-  parallel::SchedulerKind scheduler = parallel::SchedulerKind::WorkStealing;
   /// When set, the unified path runs as one job (with forked child roots)
   /// on this persistent pool instead of spawning its own workers; `workers`
   /// becomes the job's slot request.

@@ -5,10 +5,11 @@
 /// Each worker is a "processor" running chains *in place* in a worker-local
 /// store (a search::Runner): expanding a chain trails its bindings and
 /// parks the untried alternatives as lightweight pending choices, so no
-/// state is copied while work stays on the processor. Deep copies happen
-/// only at migration points — choices spilled to the global frontier (the
-/// minimum-seeking network) when the local pool overflows, and whole local
-/// pools flushed through the network (batched, one lock) when §6's
+/// state is copied while work stays on the processor. Choices beyond the
+/// local capacity are shared through the WorkStealingScheduler (the
+/// minimum-seeking network) as copy-on-steal handles: only their bounds
+/// enter the network, and the deep copy happens when a thief claims one.
+/// Whole local pools migrate through the network (one batch) when §6's
 /// D-threshold says the network minimum is more than D below the local
 /// minimum and the freed worker should acquire the remote chain instead.
 #pragma once
@@ -17,57 +18,40 @@
 #include <thread>
 
 #include "blog/engine/interpreter.hpp"
-#include "blog/parallel/minnet.hpp"
+#include "blog/parallel/scheduler.hpp"
 
 namespace blog::parallel {
 
 /// Configuration of one ParallelEngine::solve run: worker count, budgets,
-/// §6 thresholds, scheduler choice and its locality/spill/adaptivity
-/// behaviour. See docs/TUNING.md for the knob-by-knob guide.
+/// §6 thresholds, and the scheduler's locality/spill/adaptivity behaviour.
+/// See docs/TUNING.md for the knob-by-knob guide.
 struct ParallelOptions {
-  unsigned workers = 4;          ///< worker ("processor") thread count
+  /// Worker ("processor") thread count; 0 is clamped to 1.
+  unsigned workers = 4;
   double d_threshold = 0.0;      ///< §6's D (bound units)
   /// Node/solution/deadline cutoffs (shared with the sequential layer).
   /// Workers check them cooperatively once per expansion; max_solutions is
   /// exact (never overshoots).
   search::ExecutionLimits limits;
-  std::size_t local_capacity = 8;  ///< spill to the scheduler beyond this
+  /// Pending choices kept private; the rest are published to the
+  /// scheduler as copy-on-steal handles (deep-copied only when a thief
+  /// claims one).
+  std::size_t local_capacity = 8;
   bool update_weights = true;      ///< apply §5 updates as chains resolve
-  /// Which realization of §6's minimum-seeking network distributes spilled
-  /// chains: per-worker deques with steal-half (default) or the legacy
-  /// single-lock global min-heap (kept for regression comparison).
-  SchedulerKind scheduler = SchedulerKind::WorkStealing;
   std::size_t steal_deque_capacity = 64;  ///< per-worker deque bound
-  /// How to share overflow beyond local_capacity:
-  ///   Eager        — materialize (deep-copy) every expansion,
-  ///                  unconditionally (legacy behaviour; predictable
-  ///                  sharing, pays the copies even when every worker is
-  ///                  busy).
-  ///   WhenStarving — materialize only while the scheduler reports an idle
-  ///                  worker (lock-free starving() signal); otherwise the
-  ///                  fresh choices stay as cheap in-place pending entries.
-  ///   Lazy         — copy-on-steal (default): publish SpillHandles — the
-  ///                  bound enters the network, the state stays free on the
-  ///                  owner's stack — and deep-copy only when a thief
-  ///                  actually wins a handle's claim CAS. Subsumes
-  ///                  WhenStarving: copies are paid exactly for chains an
-  ///                  idle worker takes. Falls back to WhenStarving on
-  ///                  schedulers without handle support (GlobalFrontier).
-  enum class SpillPolicy { Eager, WhenStarving, Lazy };
-  SpillPolicy spill_policy = SpillPolicy::Lazy;  ///< see SpillPolicy
   /// Let the scheduler float local_capacity / steal_deque_capacity around
   /// their seeds with each worker's observed steal pressure (EWMA over
   /// `capacity_ewma_window` spill events, bounds [4, 512] for the default
   /// seeds). Turn off to pin the static knobs exactly.
   bool adaptive_capacity = true;
   std::uint32_t capacity_ewma_window = 64;  ///< EWMA horizon, spill events
-  /// NUMA awareness (work-stealing scheduler only). When the host exposes
-  /// more than one node (topology.hpp), workers are placed round-robin
-  /// across nodes, their deques are tagged with the node id, and victim
-  /// scans prefer same-node deques: a remote-node published minimum is
-  /// chosen only when it beats the best local candidate by more than
-  /// `numa_locality_bias` (bound units). Single-node hosts take the exact
-  /// pre-NUMA code path regardless of these knobs.
+  /// NUMA awareness. When the host exposes more than one node
+  /// (topology.hpp), workers are placed round-robin across nodes, their
+  /// deques are tagged with the node id, and victim scans prefer same-node
+  /// deques: a remote-node published minimum is chosen only when it beats
+  /// the best local candidate by more than `numa_locality_bias` (bound
+  /// units). Single-node hosts take the exact pre-NUMA code path
+  /// regardless of these knobs.
   bool numa_aware = true;
   double numa_locality_bias = 1.0;  ///< bound units a remote min must win by
   /// Pin each worker thread to the CPUs of its assigned node (Linux,
@@ -75,11 +59,11 @@ struct ParallelOptions {
   /// ignored). Placement and victim bias work without pinning, but pinned
   /// workers actually keep their deques node-local.
   bool numa_pin_workers = true;
-  /// Claim-wait mailboxes (SpillPolicy::Lazy): a thief that wins a spill
-  /// handle's claim CAS parks the handle in its private mailbox and keeps
-  /// scanning other victims while the owner's copy is in flight, draining
-  /// deposits at the next acquire / D-threshold boundary. Off = the
-  /// legacy bounded spin/sleep wait on the claimed handle.
+  /// Claim-wait mailboxes: a thief that wins a spill handle's claim CAS
+  /// parks the handle in its private mailbox and keeps scanning other
+  /// victims while the owner's copy is in flight, draining deposits at the
+  /// next acquire / D-threshold boundary. Off = the bounded spin/sleep
+  /// wait on the claimed handle.
   bool claim_mailboxes = true;
   /// Most claims a thief may hold in its mailbox at once; at the cap the
   /// thief backs off and drains instead of forcing more owners into deep
@@ -123,7 +107,7 @@ struct WorkerStats {
   std::uint64_t solutions = 0;       ///< answers this worker recorded
   std::uint64_t failures = 0;        ///< failed chains (§5 update triggers)
   std::uint64_t cells_copied = 0;    ///< cells deep-copied at migration points
-  // Copy-on-steal accounting (SpillPolicy::Lazy).
+  // Copy-on-steal accounting.
   std::uint64_t handles_published = 0;  ///< choices shared as lazy handles
   std::uint64_t handles_reclaimed = 0;  ///< reclaimed in place: zero copies
   std::uint64_t handles_granted = 0;    ///< claimed by a thief: one copy
@@ -150,8 +134,8 @@ struct ParallelResult {
 };
 
 /// §6's parallel machine on real threads: N workers, each an in-place
-/// Runner, exchanging work through a Scheduler (the minimum-seeking
-/// network analogue).
+/// Runner, exchanging work through a WorkStealingScheduler (the
+/// minimum-seeking network analogue).
 class ParallelEngine {
 public:
   /// Bind the engine to a program/weight store/builtin evaluator. The

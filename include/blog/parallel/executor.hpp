@@ -9,7 +9,7 @@
 /// **once** (round-robin across the detected topology), and every query
 /// becomes a schedulable *job* multiplexed onto the pool.
 ///
-/// Isolation: each job owns a private Scheduler instance — its partition
+/// Isolation: each job owns a private WorkStealingScheduler — its partition
 /// of the minimum-seeking network. Two concurrent jobs' chains can never
 /// mix because they live in different schedulers, and each scheduler's
 /// outstanding-work counter is that job's termination detector (no global
@@ -83,7 +83,7 @@ struct JobRequest {
   /// Open-list policy of a sequential (slots == 1) job; parallel jobs use
   /// the scheduler's best-first order.
   search::Strategy strategy = search::Strategy::BestFirst;
-  /// Limits, §6 knobs, spill/scheduler tuning, trace sink. `workers` is
+  /// Limits, §6 knobs, scheduler tuning, trace sink. `workers` is
   /// ignored (`slots` wins); `cancel`/`on_solution` are owned by the
   /// executor (use JobTicket::cancel and `on_answer`).
   ParallelOptions opts;

@@ -1,13 +1,14 @@
 /// \file
 /// \brief The shared per-job worker loop: one search job's per-expansion
-/// behaviour, factored out of ParallelEngine so the spawn-per-query engine
+/// behaviour, factored out of ParallelEngine so the spawn-per-solve engine
 /// and the persistent Executor pool run byte-identical searches.
 ///
-/// A *job* is one query's OR-search: a Scheduler instance (its private
-/// partition of the minimum-seeking network — two jobs' chains can never
-/// mix because they live in different schedulers), a JobControls bundle
-/// (budgets, stop cause, the shared solution vector, streaming hook), and
-/// a JobConfig (the per-expansion knobs distilled from ParallelOptions).
+/// A *job* is one query's OR-search: a WorkStealingScheduler instance (its
+/// private partition of the minimum-seeking network — two jobs' chains can
+/// never mix because they live in different schedulers), a JobControls
+/// bundle (budgets, stop cause, the shared solution vector, streaming
+/// hook), and a JobConfig (the per-expansion knobs distilled from
+/// ParallelOptions).
 /// `run_job_worker` runs one worker ("processor") against that job until
 /// the job terminates, is stopped, or the worker's acquire drains.
 #pragma once
@@ -20,14 +21,12 @@ namespace blog::parallel {
 
 /// Per-expansion knobs of one job, distilled from ParallelOptions (the
 /// subset the inner loop actually reads; scheduler construction knobs stay
-/// with whoever builds the Scheduler).
+/// with whoever builds the scheduler).
 struct JobConfig {
   double d_threshold = 0.0;        ///< §6's D (bound units)
   std::size_t local_capacity = 8;  ///< spill to the scheduler beyond this
   bool update_weights = true;      ///< apply §5 updates as chains resolve
-  ParallelOptions::SpillPolicy spill_policy =
-      ParallelOptions::SpillPolicy::Lazy;  ///< overflow sharing policy
-  obs::TraceSink* trace = nullptr;         ///< flight recorder (may be null)
+  obs::TraceSink* trace = nullptr;  ///< flight recorder (may be null)
 };
 
 /// Shared mutable state of one job: cooperative cutoffs, the first-stop
@@ -95,11 +94,12 @@ void report_stop(std::atomic<int>& cause, search::Outcome o);
 /// `lane` is the flight-recorder lane (the pool worker id under the
 /// Executor, == slot under ParallelEngine). `preempt_epoch` may be null
 /// (no mid-burst preemption). Reentrant: many workers may run this
-/// concurrently against the same JobControls/Scheduler, each with a
+/// concurrently against the same JobControls/scheduler, each with a
 /// distinct slot.
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
-                    Scheduler& net, unsigned slot, std::uint16_t lane,
-                    WorkerStats& ws, const JobConfig& cfg, JobControls& ctl,
+                    WorkStealingScheduler& net, unsigned slot,
+                    std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
+                    JobControls& ctl,
                     const std::atomic<std::uint64_t>* preempt_epoch);
 
 }  // namespace blog::parallel

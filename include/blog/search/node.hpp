@@ -4,12 +4,12 @@
 /// A `DetachedNode` is a full, independent copy of the computation state —
 /// its own term store, the remaining goal list, and the instantiated answer
 /// template. Detached nodes are the unit of *migration*: they are what the
-/// global frontier / minimum-seeking network exchanges between workers and
-/// what observers see. Within a worker, execution is trail-based and
-/// in-place (see runner.hpp); a detached copy is materialized only when a
-/// subtree is spilled, migrated, or recorded as a solution. The arcs from
-/// the root are kept as a shared immutable chain so that bounds and §5
-/// weight updates can walk leaf→root cheaply.
+/// minimum-seeking network exchanges between workers and what observers
+/// see. Within a worker, execution is trail-based and in-place (see
+/// runner.hpp); a detached copy is materialized only when a subtree is
+/// spilled, migrated, or recorded as a solution. The arcs from the root
+/// are kept as a shared immutable chain so that bounds and §5 weight
+/// updates can walk leaf→root cheaply.
 #pragma once
 
 #include <atomic>

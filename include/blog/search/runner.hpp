@@ -230,16 +230,6 @@ public:
   /// expansion — so no live bindings need to be unwound.
   DetachedNode detach_sibling(std::size_t index, ExpandStats* stats = nullptr);
 
-  /// Detach freshly created siblings starting at `base` until at most
-  /// `keep` pending choices remain, appending them to `out` in stack
-  /// order (bottom of the new block first — the last clauses, which
-  /// overflow first). One call and one erase per expansion instead of one
-  /// per spilled choice; the same current-level checkpoint restriction as
-  /// detach_sibling applies.
-  void detach_overflow(std::size_t base, std::size_t keep,
-                       std::vector<DetachedNode>& out,
-                       ExpandStats* stats = nullptr);
-
   /// Materialize every pending choice (top first, unwinding the trail
   /// monotonically) and leave the runner empty. The current in-place state
   /// is abandoned: used when the whole local workload migrates.

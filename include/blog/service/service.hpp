@@ -83,18 +83,14 @@ struct QueryResponse {
   std::string error;
 };
 
-/// Counting gate: at most `max_running` callers proceed at once; up to
-/// `max_queued` more wait — parked on `enter()` (the sync path) or
-/// registered without blocking via `try_queue()` (the async path) — and
-/// beyond that admission refuses (load shedding instead of unbounded
-/// queueing).
+/// Counting gate: at most `max_running` queries run at once; up to
+/// `max_queued` more wait, registered without blocking via `try_queue()`,
+/// and beyond that admission refuses (load shedding instead of unbounded
+/// queueing). No method ever blocks its caller.
 class AdmissionGate {
 public:
   AdmissionGate(std::size_t max_running, std::size_t max_queued);
 
-  /// Block until admitted (true) or refuse immediately when the wait queue
-  /// is full (false). Every successful enter() needs one leave().
-  bool enter();
   /// Admit without waiting: true and a running slot when one is free,
   /// false otherwise (nothing is counted as rejected — the caller decides
   /// between try_queue() and shedding). Pairs with leave().
@@ -110,6 +106,7 @@ public:
   /// Unregister an async waiter without admitting it (cancelled while
   /// queued).
   void abandon_queued();
+  /// Release a running slot taken by try_enter() or promote_queued().
   void leave();
 
   struct Stats {
@@ -117,18 +114,16 @@ public:
     std::uint64_t queued = 0;    // admissions that had to wait first
     std::uint64_t rejected = 0;
     std::size_t running = 0;     // current occupancy
-    std::size_t waiting = 0;     // parked callers + registered async waiters
+    std::size_t waiting = 0;     // registered waiters
   };
   [[nodiscard]] Stats stats() const;
 
 private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::size_t max_running_;
   std::size_t max_queued_;
   std::size_t running_ = 0;
-  std::size_t waiting_ = 0;        // parked in enter()
-  std::size_t waiting_async_ = 0;  // registered via try_queue()
+  std::size_t waiting_ = 0;  // registered via try_queue()
   std::uint64_t admitted_ = 0;
   std::uint64_t queued_ = 0;
   std::uint64_t rejected_ = 0;
@@ -142,23 +137,14 @@ struct ServiceOptions {
   std::size_t max_concurrent_queries = 8;
   std::size_t admission_queue_limit = 64;
   bool update_weights = true;  // apply §5 updates as queries resolve
-  // Scheduler used when a request asks for workers > 1: per-worker deques
-  // with steal-half (default) or the legacy single-lock global frontier.
-  parallel::SchedulerKind parallel_scheduler =
-      parallel::SchedulerKind::WorkStealing;
   // Flight recorder (obs/trace.hpp). When non-null, queries record
   // begin/end, cache hit/miss, admission-shed and budget events, and the
   // sink is forwarded into the engines they run. Also settable at runtime
   // via set_trace(). Must outlive the service (or be cleared first).
   obs::TraceSink* trace = nullptr;
-  // Persistent executor. True (default): the service owns a worker pool
-  // (created, NUMA-placed and pinned once); every query becomes a
-  // schedulable job and query() is a thin submit().wait() wrapper. False:
-  // the legacy path — each query runs on its caller's thread, spawning
-  // (and joining) its own worker threads when workers > 1. Kept as the
-  // spawn-per-query baseline BENCH_executor measures against.
-  bool use_executor = true;
-  // Pool size when use_executor; 0 = one worker per hardware thread.
+  // Size of the service's persistent worker pool (created, NUMA-placed
+  // and pinned once; every query runs on it as a schedulable job).
+  // 0 = one worker per hardware thread.
   unsigned executor_workers = 0;
   // Pull-based AnswerStream consumers are woken once per `stream_chunk`
   // streamed answers (and at close) instead of per answer; callback
@@ -277,17 +263,14 @@ public:
   /// Never blocks — a full pool queues the job (bounded), a full queue
   /// sheds it (the ticket completes immediately with Rejected). Parse
   /// errors and cache hits also complete the ticket before returning.
-  /// Requires use_executor (the default); without it the query runs to
-  /// completion on the calling thread and the ticket returns finished.
   QueryTicket submit(const QueryRequest& req, SubmitOptions sopts = {});
 
-  /// Synchronous wrapper: submit(req).wait() under use_executor, the
-  /// legacy caller-thread path otherwise.
+  /// Synchronous wrapper: submit(req).wait().
   QueryResponse query(const QueryRequest& req);
   QueryResponse query(std::string_view text, const QueryBudget& budget = {});
 
-  /// The pool (null when use_executor is false). Exposed for stats and
-  /// for standalone jobs against the published snapshot.
+  /// The pool. Exposed for stats and for standalone jobs against the
+  /// published snapshot.
   [[nodiscard]] parallel::Executor* executor() { return executor_.get(); }
 
   /// The currently published snapshot (callers may run their own engines
@@ -343,8 +326,6 @@ public:
 private:
   friend class QueryTicket;
 
-  QueryResponse run_admitted(const QueryRequest& req, const search::Query& q,
-                             const ProgramSnapshot& snap);
   void deliver_answer(detail::TicketState* st, const std::string& text);
   void dispatch_locked(const std::shared_ptr<detail::TicketState>& st);
   void on_job_complete(const std::shared_ptr<detail::TicketState>& st,
@@ -363,11 +344,13 @@ private:
   AdmissionGate gate_;
   std::unique_ptr<parallel::Executor> executor_;
   // Async admission: tickets registered with gate_.try_queue(), dispatched
-  // FIFO as running jobs release their slots. Guards pending_ and every
-  // ticket phase transition.
+  // FIFO as running jobs release their slots. Guards pending_, shutdown_
+  // and every ticket phase transition; every dispatch reads executor_
+  // under it, so once the destructor sets shutdown_ no dispatch can reach
+  // the pool it is tearing down.
   mutable std::mutex async_mu_;
   std::deque<std::shared_ptr<detail::TicketState>> pending_;
-  std::atomic<bool> shutdown_{false};
+  bool shutdown_ = false;
 
   // All request counters live in the registry; the bound references keep
   // the hot path at one relaxed fetch_add, exactly as the raw atomics did.

@@ -262,7 +262,6 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
 
   parallel::ParallelOptions popts;
   popts.workers = std::max(1u, opts.workers);
-  popts.scheduler = opts.scheduler;
   popts.limits = opts.search.limits;
   // max_solutions bounds the *joined* set; the items run unbounded and
   // the cap is applied after the combine (apply_solution_limit).

@@ -22,7 +22,7 @@ struct JobState {
   // minimum-seeking network (its outstanding-work counter is the per-job
   // termination detector).
   std::unique_ptr<search::Expander> expander;
-  std::unique_ptr<Scheduler> net;
+  std::unique_ptr<WorkStealingScheduler> net;
   JobControls ctl;
   JobConfig cfg;
   std::vector<WorkerStats> wstats;
@@ -171,8 +171,8 @@ JobTicket Executor::submit(JobRequest req) {
             r.opts.stale_refresh_interval.count(), 0,
             std::numeric_limits<std::uint32_t>::max()));
     tuning.trace = r.opts.trace;
-    job->net = make_scheduler(r.opts.scheduler, job->slots,
-                              r.opts.steal_deque_capacity, tuning);
+    job->net = std::make_unique<WorkStealingScheduler>(
+        job->slots, r.opts.steal_deque_capacity, tuning);
     job->net->push_root(job->expander->make_root(r.query));
     for (std::size_t i = 0; i < r.forks.size(); ++i) {
       search::DetachedNode root = job->expander->make_root(r.forks[i]);
@@ -191,7 +191,6 @@ JobTicket Executor::submit(JobRequest req) {
     job->cfg.d_threshold = r.opts.d_threshold;
     job->cfg.local_capacity = r.opts.local_capacity;
     job->cfg.update_weights = r.opts.update_weights;
-    job->cfg.spill_policy = r.opts.spill_policy;
     job->cfg.trace = r.opts.trace;
     job->wstats.resize(job->slots);
   }

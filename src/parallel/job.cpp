@@ -14,8 +14,9 @@ void report_stop(std::atomic<int>& cause, search::Outcome o) {
 }
 
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
-                    Scheduler& net, unsigned slot, std::uint16_t lane,
-                    WorkerStats& ws, const JobConfig& cfg, JobControls& ctl,
+                    WorkStealingScheduler& net, unsigned slot,
+                    std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
+                    JobControls& ctl,
                     const std::atomic<std::uint64_t>* preempt_epoch) {
   search::Runner runner(expander);
   // The parallel loop's local bursts are depth-first and never prune
@@ -34,20 +35,13 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
       burst = 0;
     }
   };
-  // Lazy spilling needs scheduler-side handle support; downgrade to the
-  // starvation gate on schedulers without it (GlobalFrontier).
-  const ParallelOptions::SpillPolicy policy =
-      cfg.spill_policy == ParallelOptions::SpillPolicy::Lazy &&
-              !net.supports_handles()
-          ? ParallelOptions::SpillPolicy::WhenStarving
-          : cfg.spill_policy;
   std::uint64_t epoch_seen =
       preempt_epoch ? preempt_epoch->load(std::memory_order_relaxed) : 0;
   // True while re-entering expand() after a preemption yield: the
   // expansion was already counted against the budget and ws.expanded.
   bool resuming = false;
 
-  // Spill a detached choice batch through the scheduler in one call.
+  // Push a migrated-out batch through the scheduler in one call.
   std::vector<search::DetachedNode> spill;
   const auto flush_spills = [&] {
     if (spill.empty()) return;
@@ -236,46 +230,17 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
           net.on_expanded(step.children);
           break;
         }
-        if (policy == ParallelOptions::SpillPolicy::Lazy) {
-          // Copy-on-steal: publish handles for everything beyond the
-          // (possibly adaptive) local capacity. The choices stay on the
-          // stack — sharing costs a shared_ptr per choice, not a copy —
-          // and the deep copy happens only if a thief claims one.
-          const std::size_t keep =
-              net.local_capacity_hint(slot, cfg.local_capacity);
+        // Copy-on-steal: publish handles for everything beyond the
+        // (possibly adaptive) local capacity. The choices stay on the
+        // stack — sharing costs a shared_ptr per choice, not a copy — and
+        // the deep copy happens only if a thief claims one.
+        handles.clear();
+        runner.publish_overflow(
+            slot, net.local_capacity_hint(slot, cfg.local_capacity), handles);
+        if (!handles.empty()) {
+          ws.handles_published += handles.size();
+          net.push_handles(slot, std::move(handles));
           handles.clear();
-          runner.publish_overflow(slot, keep, handles);
-          if (!handles.empty()) {
-            ws.handles_published += handles.size();
-            net.push_handles(slot, std::move(handles));
-            handles.clear();
-          }
-        } else if (policy == ParallelOptions::SpillPolicy::Eager ||
-                   net.starving()) {
-          // Keep the best-ordered prefix of children locally up to
-          // capacity; detach and spill the rest so idle processors find
-          // work. Freshly created siblings share the current checkpoint,
-          // so detaching them costs no trail unwinding.
-          // The new block sits above `base`; its bottom entry is the last
-          // clause, which is what overflows first (clause-order prefix
-          // kept). Under WhenStarving, the copies are paid only while
-          // some worker is actually idle (lock-free starving() poll); a
-          // backlog kept local during saturation drains through later
-          // expansions' fresh blocks once starvation reappears.
-          const std::size_t base = runner.pending() - step.children;
-          const std::size_t capacity =
-              net.local_capacity_hint(slot, cfg.local_capacity);
-          // Only the fresh block is detachable without trail unwinding;
-          // older entries stay local until the worker consumes them. Keep
-          // at least the first-clause child so the depth-first in-place
-          // burst continues even while shedding a starvation backlog.
-          const std::size_t keep =
-              policy == ParallelOptions::SpillPolicy::Eager
-                  ? capacity
-                  : std::max(capacity, base + 1);
-          charge_copies(
-              [&] { runner.detach_overflow(base, keep, spill, &estats); });
-          flush_spills();
         }
         net.on_expanded(step.children);
         break;

@@ -34,14 +34,6 @@ std::int64_t now_us() {
 
 }  // namespace
 
-const char* scheduler_kind_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::GlobalFrontier: return "global-frontier";
-    case SchedulerKind::WorkStealing: return "work-stealing";
-  }
-  return "?";
-}
-
 WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
                                              std::size_t deque_capacity,
                                              SchedulerTuning tuning)
@@ -81,8 +73,6 @@ WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
     deques_.push_back(std::move(d));
   }
 }
-
-WorkStealingScheduler::~WorkStealingScheduler() = default;
 
 void WorkStealingScheduler::publish(Deque& d) {
   d.pub_min.store(d.pool.empty() ? kInf : d.pool.front().bound,
@@ -671,8 +661,9 @@ std::optional<search::Node> WorkStealingScheduler::try_acquire_better(
 std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
   const unsigned self = worker % static_cast<unsigned>(deques_.size());
   unsigned spins = 0;
-  // Registered as idle (the starving() signal busy workers poll) only
-  // once a full victim scan came up empty; cleared on every exit path.
+  // Registered as idle (the starving() signal, also read by adapt() and
+  // local_capacity_hint()) only once a full victim scan came up empty;
+  // cleared on every exit path.
   struct IdleGuard {
     std::atomic<int>& count;
     obs::TraceSink* trace;

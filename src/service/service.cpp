@@ -63,12 +63,6 @@ std::string canonical_from(const search::Query& q) {
   return key;
 }
 
-/// RAII admission slot.
-struct GateLease {
-  AdmissionGate& gate;
-  ~GateLease() { gate.leave(); }
-};
-
 }  // namespace
 
 const char* query_status_name(QueryStatus s) {
@@ -88,26 +82,6 @@ AdmissionGate::AdmissionGate(std::size_t max_running, std::size_t max_queued)
     : max_running_(max_running == 0 ? 1 : max_running),
       max_queued_(max_queued) {}
 
-bool AdmissionGate::enter() {
-  std::unique_lock lock(mu_);
-  if (running_ < max_running_) {
-    ++running_;
-    ++admitted_;
-    return true;
-  }
-  if (waiting_ + waiting_async_ >= max_queued_) {
-    ++rejected_;
-    return false;
-  }
-  ++waiting_;
-  ++queued_;
-  cv_.wait(lock, [&] { return running_ < max_running_; });
-  --waiting_;
-  ++running_;
-  ++admitted_;
-  return true;
-}
-
 bool AdmissionGate::try_enter() {
   std::lock_guard lock(mu_);
   if (running_ >= max_running_) return false;
@@ -118,19 +92,19 @@ bool AdmissionGate::try_enter() {
 
 bool AdmissionGate::try_queue() {
   std::lock_guard lock(mu_);
-  if (waiting_ + waiting_async_ >= max_queued_) {
+  if (waiting_ >= max_queued_) {
     ++rejected_;
     return false;
   }
-  ++waiting_async_;
+  ++waiting_;
   ++queued_;
   return true;
 }
 
 bool AdmissionGate::promote_queued() {
   std::lock_guard lock(mu_);
-  if (waiting_async_ == 0 || running_ >= max_running_) return false;
-  --waiting_async_;
+  if (waiting_ == 0 || running_ >= max_running_) return false;
+  --waiting_;
   ++running_;
   ++admitted_;
   return true;
@@ -138,21 +112,17 @@ bool AdmissionGate::promote_queued() {
 
 void AdmissionGate::abandon_queued() {
   std::lock_guard lock(mu_);
-  if (waiting_async_ > 0) --waiting_async_;
+  if (waiting_ > 0) --waiting_;
 }
 
 void AdmissionGate::leave() {
-  {
-    std::lock_guard lock(mu_);
-    --running_;
-  }
-  cv_.notify_one();
+  std::lock_guard lock(mu_);
+  --running_;
 }
 
 AdmissionGate::Stats AdmissionGate::stats() const {
   std::lock_guard lock(mu_);
-  return Stats{admitted_, queued_, rejected_, running_,
-               waiting_ + waiting_async_};
+  return Stats{admitted_, queued_, rejected_, running_, waiting_};
 }
 
 // ---------------------------------------------------------- AnswerStream --
@@ -231,20 +201,17 @@ QueryService::QueryService(ServiceOptions opts)
       cache_(opts.cache_shards, opts.cache_capacity_per_shard),
       gate_(opts.max_concurrent_queries, opts.admission_queue_limit) {
   trace_.store(opts.trace, std::memory_order_relaxed);
-  if (opts_.use_executor) {
-    parallel::ExecutorOptions eo;
-    eo.workers = opts_.executor_workers;
-    // The admission gate is the real bound; size the executor queue so it
-    // never refuses what the gate admitted.
-    eo.queue_limit =
-        opts_.max_concurrent_queries + opts_.admission_queue_limit + 8;
-    // Served queries are short; the per-expansion deadline check already
-    // bounds their latency, so skip the preemption ticker thread (same
-    // policy the per-query engines used).
-    eo.preempt_interval = std::chrono::microseconds(0);
-    eo.metrics = &metrics_;
-    executor_ = std::make_unique<parallel::Executor>(eo);
-  }
+  parallel::ExecutorOptions eo;
+  eo.workers = opts_.executor_workers;
+  // The admission gate is the real bound; size the executor queue so it
+  // never refuses what the gate admitted.
+  eo.queue_limit =
+      opts_.max_concurrent_queries + opts_.admission_queue_limit + 8;
+  // Served queries are short; the per-expansion deadline check already
+  // bounds their latency, so skip the preemption ticker thread.
+  eo.preempt_interval = std::chrono::microseconds(0);
+  eo.metrics = &metrics_;
+  executor_ = std::make_unique<parallel::Executor>(eo);
 }
 
 QueryService::QueryService(const engine::Interpreter& seed, ServiceOptions opts)
@@ -253,7 +220,13 @@ QueryService::QueryService(const engine::Interpreter& seed, ServiceOptions opts)
 }
 
 QueryService::~QueryService() {
-  shutdown_.store(true, std::memory_order_release);
+  {
+    // Under async_mu_: a completion already inside drain_pending finishes
+    // its dispatch first, and every later one sees shutdown_ and leaves
+    // executor_ alone — reset() nulls the pointer before the pool joins.
+    std::lock_guard lock(async_mu_);
+    shutdown_ = true;
+  }
   // Running jobs are cancelled cooperatively and finalized by the pool
   // before reset() returns; their completions skip drain_pending (shutdown
   // is set), so still-queued tickets are left for us to cancel below.
@@ -299,54 +272,6 @@ std::string QueryService::canonical_key(std::string_view text) {
   return canonical_from(engine::parse_query(text));
 }
 
-QueryResponse QueryService::run_admitted(const QueryRequest& req,
-                                         const search::Query& q,
-                                         const ProgramSnapshot& snap) {
-  QueryResponse resp;
-  resp.epoch = snap.epoch;
-  const search::ExecutionLimits limits = req.budget.limits();
-
-  if (req.workers > 1) {
-    parallel::ParallelOptions po;
-    po.workers = req.workers;
-    po.limits = limits;
-    po.update_weights = opts_.update_weights;
-    po.scheduler = opts_.parallel_scheduler;
-    // Serving cares about saturated throughput: copy-on-steal publishes
-    // only bounds, and detach copies are paid exactly for the chains an
-    // idle worker actually claims (the starving() gate falls out for
-    // free — WhenStarving is the fallback on handle-less schedulers).
-    po.spill_policy = parallel::ParallelOptions::SpillPolicy::Lazy;
-    // Short served queries would pay a ticker-thread spawn per request for
-    // a mid-builtin-burst D-threshold check they never need; the per-
-    // expansion deadline check already bounds their latency.
-    po.preempt_interval = std::chrono::microseconds(0);
-    po.trace = trace_.load(std::memory_order_acquire);
-    parallel::ParallelEngine pe(*snap.program, weights_, &builtins_, po);
-    auto r = pe.solve(q);
-    resp.outcome = r.outcome;
-    resp.nodes_expanded = r.nodes_expanded;
-    resp.answers.reserve(r.solutions.size());
-    for (const auto& s : r.solutions) resp.answers.push_back(s.text);
-    resp.answers = engine::solution_texts(std::move(resp.answers));
-  } else {
-    search::SearchOptions so;
-    so.strategy = req.strategy;
-    so.limits = limits;
-    so.update_weights = opts_.update_weights;
-    so.trace = trace_.load(std::memory_order_acquire);
-    search::SearchEngine eng(*snap.program, weights_, &builtins_);
-    auto r = eng.solve(q, so);
-    resp.outcome = r.outcome;
-    resp.nodes_expanded = r.stats.nodes_expanded;
-    resp.answers = engine::solution_texts(r);
-  }
-  resp.status = resp.outcome == search::Outcome::Exhausted
-                    ? QueryStatus::Ok
-                    : QueryStatus::Truncated;
-  return resp;
-}
-
 void QueryService::deliver_answer(detail::TicketState* st,
                                   const std::string& text) {
   {
@@ -361,8 +286,8 @@ void QueryService::deliver_answer(detail::TicketState* st,
 
 void QueryService::complete_ticket(
     const std::shared_ptr<detail::TicketState>& st, QueryResponse&& resp) {
-  // Answers that never went through the live stream (cache hits, the
-  // legacy inline path, parse/shed short-circuits with none) still reach
+  // Answers that never went through the live stream (cache hits,
+  // parse/shed short-circuits with none) still reach
   // streaming consumers; the dedup set makes this a no-op for answers the
   // workers already streamed.
   if (st->sopts.on_answer || st->stream)
@@ -396,8 +321,6 @@ void QueryService::dispatch_locked(
   // client's deadline.
   jr.opts.limits = st->limits;
   jr.opts.update_weights = opts_.update_weights;
-  jr.opts.scheduler = opts_.parallel_scheduler;
-  jr.opts.spill_policy = parallel::ParallelOptions::SpillPolicy::Lazy;
   jr.opts.preempt_interval = std::chrono::microseconds(0);
   jr.opts.trace = trace_.load(std::memory_order_acquire);
   jr.keepalive = st->snap;
@@ -474,8 +397,8 @@ void QueryService::on_job_complete(
 }
 
 void QueryService::drain_pending() {
-  if (shutdown_.load(std::memory_order_acquire)) return;
   std::lock_guard lock(async_mu_);
+  if (shutdown_) return;
   while (!pending_.empty() && gate_.promote_queued()) {
     auto st = pending_.front();
     pending_.pop_front();
@@ -562,40 +485,12 @@ QueryTicket QueryService::submit(const QueryRequest& req,
     obs::trace(trace, st->lane, obs::EventKind::kCacheMiss, st->qid);
   }
 
-  if (executor_ == nullptr) {
-    // Legacy mode: the query runs to completion on this thread (submit
-    // degenerates to a finished ticket; kept for the spawn-per-query
-    // baseline and callers that opted out of the pool).
-    if (!gate_.enter()) {
-      rejected_.inc();
-      obs::trace(trace, st->lane, obs::EventKind::kAdmissionShed, st->qid);
-      resp.status = QueryStatus::Rejected;
-      resp.error = "admission queue full";
-      complete_ticket(st, std::move(resp));
-      return QueryTicket(st);
-    }
-    {
-      GateLease lease{gate_};
-      resp = run_admitted(st->req, st->q, *st->snap);
-    }
-    if (resp.status == QueryStatus::Truncated) {
-      truncated_.inc();
-      if (resp.outcome == search::Outcome::BudgetExceeded)
-        obs::trace(trace, st->lane, obs::EventKind::kBudgetExhausted,
-                   st->qid);
-    }
-    if (opts_.cache_enabled && resp.status == QueryStatus::Ok)
-      cache_.insert(st->key, st->snap->epoch, resp.answers);
-    complete_ticket(st, std::move(resp));
-    return QueryTicket(st);
-  }
-
   // Async admission: admit now, queue without parking, or shed — this
   // thread never blocks.
   st->limits = st->req.budget.limits();
   {
     std::lock_guard lock(async_mu_);
-    if (shutdown_.load(std::memory_order_acquire)) {
+    if (shutdown_) {
       // fall through to shed below
     } else if (gate_.try_enter()) {
       dispatch_locked(st);

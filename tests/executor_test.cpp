@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
@@ -531,21 +532,46 @@ TEST(ServiceStorm, AsyncClientsVsSmallPool) {
 // Destruction with live tickets: the service cancels queued work and
 // drains the pool; every outstanding ticket completes.
 TEST(ServiceStorm, DestructionCompletesOutstandingTickets) {
-  std::vector<service::QueryTicket> tickets;
+  const auto expect_completed =
+      [](const std::vector<service::QueryTicket>& tickets) {
+        for (const auto& t : tickets) {
+          EXPECT_TRUE(t.poll());  // completed before the destructor returned
+          const auto s = t.wait().status;
+          EXPECT_TRUE(s == QueryStatus::Ok || s == QueryStatus::Cancelled)
+              << service::query_status_name(s);
+        }
+      };
   {
-    service::ServiceOptions so;
-    so.executor_workers = 2;
-    so.max_concurrent_queries = 2;
-    so.admission_queue_limit = 16;
-    QueryService svc(so);
-    svc.consult(workloads::layered_dag(6, 4));
-    for (int i = 0; i < 12; ++i)
-      tickets.push_back(svc.submit({.text = "path(n0_0,Z,P)", .workers = 2}));
-  }  // ~QueryService
-  for (auto& t : tickets) {
-    EXPECT_TRUE(t.poll());  // completed before the destructor returned
-    const auto s = t.wait().status;
-    EXPECT_TRUE(s == QueryStatus::Ok || s == QueryStatus::Cancelled)
-        << service::query_status_name(s);
+    std::vector<service::QueryTicket> tickets;
+    {
+      service::ServiceOptions so;
+      so.executor_workers = 2;
+      so.max_concurrent_queries = 2;
+      so.admission_queue_limit = 16;
+      QueryService svc(so);
+      svc.consult(workloads::layered_dag(6, 4));
+      for (int i = 0; i < 12; ++i)
+        tickets.push_back(
+            svc.submit({.text = "path(n0_0,Z,P)", .workers = 2}));
+    }  // ~QueryService
+    expect_completed(tickets);
+  }
+  // Short queries behind a one-slot gate: pool workers finish jobs and
+  // dispatch queued tickets while the destructor tears the pool down. No
+  // dispatch may reach the executor once teardown has begun.
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    std::vector<service::QueryTicket> tickets;
+    {
+      service::ServiceOptions so;
+      so.executor_workers = 2;
+      so.max_concurrent_queries = 1;
+      so.cache_enabled = false;
+      QueryService svc(so);
+      svc.consult(workloads::figure1_family());
+      for (int i = 0; i < 8; ++i)
+        tickets.push_back(svc.submit({.text = "gf(sam,G)"}));
+      std::this_thread::sleep_for(std::chrono::microseconds(cycle % 5 * 250));
+    }  // ~QueryService
+    expect_completed(tickets);
   }
 }

@@ -133,11 +133,10 @@ TEST_P(WorkerCount, ParallelSolutionTextsIdenticalToLegacySequential) {
 }
 
 TEST_P(WorkerCount, TinyLocalCapacityForcesMigrationAndStaysExact) {
-  // Capacity 1 makes nearly every choice migrate through the network —
-  // the stress case for detach/materialize correctness. Pinned to the
-  // eager-materializing policy with static capacities now that the
-  // engine defaults to copy-on-steal (which has its own storm stress in
-  // scheduler_test).
+  // Capacity 1 publishes nearly every choice to the network as a
+  // copy-on-steal handle — the stress case for claim/materialize
+  // correctness. Static capacities keep the adaptive hint from growing
+  // the pool back.
   search::SearchOptions o;
   o.update_weights = false;
   Interpreter legacy;
@@ -151,7 +150,6 @@ TEST_P(WorkerCount, TinyLocalCapacityForcesMigrationAndStaysExact) {
   po.workers = GetParam();
   po.local_capacity = 1;
   po.d_threshold = 0.0;
-  po.spill_policy = parallel::ParallelOptions::SpillPolicy::Eager;
   po.adaptive_capacity = false;
   po.update_weights = false;
   parallel::ParallelEngine pe(par.program(), par.weights(), &par.builtins(),
@@ -168,76 +166,47 @@ INSTANTIATE_TEST_SUITE_P(Workers, WorkerCount,
 
 // ------------------------------------------- scheduler cross-regression --
 
-/// (scheduler kind, worker count): the work-stealing scheduler must be
-/// byte-identical to the legacy single-lock GlobalFrontier, which in turn
-/// must match the legacy sequential engine under every strategy.
-class SchedulerGrid
-    : public ::testing::TestWithParam<std::tuple<parallel::SchedulerKind,
-                                                 unsigned>> {};
+/// Sorted solution texts of one parallel solve of workload `w`.
+std::vector<std::string> parallel_texts(const Workload& w,
+                                        parallel::ParallelOptions po) {
+  Interpreter ip;
+  ip.consult_string(w.program);
+  po.update_weights = false;
+  parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
+  const auto r = pe.solve(ip.parse_query(w.query));
+  EXPECT_TRUE(r.exhausted) << w.name;
+  std::vector<std::string> got;
+  for (const auto& s : r.solutions) got.push_back(s.text);
+  std::sort(got.begin(), got.end());
+  return got;
+}
+
+/// The materializing sequential oracle's solution texts for `w`.
+std::vector<std::string> oracle_texts(const Workload& w,
+                                      search::SearchOptions so = {}) {
+  so.update_weights = false;
+  Interpreter legacy;
+  legacy.consult_string(w.program);
+  return solution_texts(solve_detached(legacy, w.query, so));
+}
+
+/// Worker count: every work-stealing configuration below must match the
+/// sequential materializing oracle under every strategy.
+class SchedulerGrid : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SchedulerGrid, SolutionSetsIdenticalToLegacyAcrossStrategies) {
-  const auto [sched, workers] = GetParam();
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
-    // The legacy per-strategy solution sets (already asserted equal to the
-    // in-place engine above) are the reference for every scheduler.
     for (const auto strat :
          {search::Strategy::DepthFirst, search::Strategy::BreadthFirst,
           search::Strategy::BestFirst}) {
       search::SearchOptions so;
       so.strategy = strat;
-      so.update_weights = false;
-      Interpreter legacy;
-      legacy.consult_string(w.program);
-      const auto expected = solution_texts(solve_detached(legacy, w.query, so));
-
-      Interpreter par;
-      par.consult_string(w.program);
       parallel::ParallelOptions po;
       po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
-      parallel::ParallelEngine pe(par.program(), par.weights(),
-                                  &par.builtins(), po);
-      const auto r = pe.solve(par.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, expected)
-          << w.name << " / " << search::strategy_name(strat) << " / "
-          << parallel::scheduler_kind_name(sched) << " workers=" << workers;
-      EXPECT_TRUE(r.exhausted) << w.name;
-    }
-  }
-}
-
-TEST_P(SchedulerGrid, LazySpillMatchesEagerSpill) {
-  // Copy deferral must never change what is found: the starvation-gated
-  // policy and the copy-on-steal handle policy both have to be
-  // byte-identical to unconditional eager spilling.
-  using Spill = parallel::ParallelOptions::SpillPolicy;
-  const auto [sched, workers] = GetParam();
-  for (const Workload& w : workload_set()) {
-    auto run = [&](Spill spill) {
-      Interpreter ip;
-      ip.consult_string(w.program);
-      parallel::ParallelOptions po;
-      po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
-      po.spill_policy = spill;
-      parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
-                                  po);
-      const auto r = pe.solve(ip.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      return got;
-    };
-    const auto eager = run(Spill::Eager);
-    for (const Spill deferred : {Spill::WhenStarving, Spill::Lazy}) {
-      EXPECT_EQ(run(deferred), eager)
-          << w.name << " workers=" << workers << " policy="
-          << (deferred == Spill::Lazy ? "lazy" : "when-starving");
+      EXPECT_EQ(parallel_texts(w, po), oracle_texts(w, so))
+          << w.name << " / " << search::strategy_name(strat)
+          << " workers=" << workers;
     }
   }
 }
@@ -245,102 +214,59 @@ TEST_P(SchedulerGrid, LazySpillMatchesEagerSpill) {
 TEST_P(SchedulerGrid, MailboxClaimWaitMatchesSpinWait) {
   // Claim-wait mailboxes only change *when* a thief receives a claimed
   // deposit (parked and drained later vs blocked on the handle) — never
-  // what is found. Both claim-wait modes must produce byte-identical
-  // solution sets under copy-on-steal. On single-node hosts this also
-  // pins the NUMA fallback path: worker placement and victim scans must
-  // behave exactly as before.
-  using Spill = parallel::ParallelOptions::SpillPolicy;
-  const auto [sched, workers] = GetParam();
+  // what is found. On single-node hosts this also pins the NUMA fallback
+  // path: worker placement and victim scans must behave exactly as before.
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
-    auto run = [&](bool mailboxes) {
-      Interpreter ip;
-      ip.consult_string(w.program);
+    const auto expected = oracle_texts(w);
+    for (const bool mailboxes : {true, false}) {
       parallel::ParallelOptions po;
       po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
-      po.spill_policy = Spill::Lazy;
       po.claim_mailboxes = mailboxes;
       po.local_capacity = 1;  // publish nearly everything: maximize claims
-      parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
-                                  po);
-      const auto r = pe.solve(ip.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      return got;
-    };
-    EXPECT_EQ(run(true), run(false))
-        << w.name << " workers=" << workers << " scheduler="
-        << parallel::scheduler_kind_name(sched);
+      EXPECT_EQ(parallel_texts(w, po), expected)
+          << w.name << " workers=" << workers << " mailboxes=" << mailboxes;
+    }
   }
 }
 
 TEST_P(SchedulerGrid, StaticAnalysisOnOffIsByteIdentical) {
   // The consult-time analysis may only change how work executes (trail-free
-  // commits, skipped spills) — never what is found. Every scheduler/worker
-  // combination must produce byte-identical solution sets with the analysis
-  // disabled.
-  const auto [sched, workers] = GetParam();
+  // commits, skipped spills) — never what is found.
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
-    auto run = [&](bool analysis_on) {
-      Interpreter ip;
-      ip.consult_string(w.program);
+    const auto expected = oracle_texts(w);
+    for (const bool analysis_on : {true, false}) {
       parallel::ParallelOptions po;
       po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
       po.expander.static_analysis = analysis_on;
-      parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
-                                  po);
-      const auto r = pe.solve(ip.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      return got;
-    };
-    EXPECT_EQ(run(true), run(false))
-        << w.name << " workers=" << workers << " scheduler="
-        << parallel::scheduler_kind_name(sched);
+      EXPECT_EQ(parallel_texts(w, po), expected)
+          << w.name << " workers=" << workers << " analysis=" << analysis_on;
+    }
   }
 }
 
 TEST_P(SchedulerGrid, FlightRecorderOnOffIsByteIdentical) {
   // The flight recorder observes; it must never steer. Attaching a sink
-  // has to leave every scheduler/worker combination's solution set
-  // byte-identical to the untraced run, while actually recording events.
-  const auto [sched, workers] = GetParam();
+  // has to leave the solution set unchanged while actually recording
+  // events.
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
-    auto run = [&](obs::TraceSink* sink) {
-      Interpreter ip;
-      ip.consult_string(w.program);
-      parallel::ParallelOptions po;
-      po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
-      po.trace = sink;
-      parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
-                                  po);
-      const auto r = pe.solve(ip.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      return got;
-    };
+    const auto expected = oracle_texts(w);
+    parallel::ParallelOptions po;
+    po.workers = workers;
+    EXPECT_EQ(parallel_texts(w, po), expected)
+        << w.name << " workers=" << workers << " untraced";
     obs::TraceSink sink;
-    EXPECT_EQ(run(&sink), run(nullptr))
-        << w.name << " workers=" << workers << " scheduler="
-        << parallel::scheduler_kind_name(sched);
+    po.trace = &sink;
+    EXPECT_EQ(parallel_texts(w, po), expected)
+        << w.name << " workers=" << workers << " traced";
     EXPECT_GT(sink.recorded(), 0u) << w.name;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SchedulerWorkers, SchedulerGrid,
-    ::testing::Combine(
-        ::testing::Values(parallel::SchedulerKind::GlobalFrontier,
-                          parallel::SchedulerKind::WorkStealing),
-        ::testing::Values(1u, 2u, 4u, 8u)));
+INSTANTIATE_TEST_SUITE_P(SchedulerWorkers, SchedulerGrid,
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 // ------------------------------------- compile layer (index × bytecode) --
 
@@ -486,24 +412,21 @@ std::vector<Workload> andor_workload_set() {
 }
 
 /// The tentpole grid: unified AND/OR execution must be byte-identical to
-/// the sequential interpreter across {and-parallel on/off} × {fork:
-/// static/runtime/off} × {scheduler} × {workers 1,2,8}, with the
-/// strategy axis folded into the per-group engine options.
+/// the sequential materializing oracle across {and-parallel on/off} ×
+/// {fork: static/runtime/off} × {workers 1,2,8}, with the strategy axis
+/// folded into the per-group engine options.
 class AndOrGrid
-    : public ::testing::TestWithParam<
-          std::tuple<andp::ForkMode, parallel::SchedulerKind, unsigned>> {};
+    : public ::testing::TestWithParam<std::tuple<andp::ForkMode, unsigned>> {};
 
 TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
-  const auto [fork, kind, workers] = GetParam();
+  const auto [fork, workers] = GetParam();
   for (const Workload& w : andor_workload_set()) {
     for (const auto strat :
          {search::Strategy::DepthFirst, search::Strategy::BestFirst}) {
       search::SearchOptions so;
       so.strategy = strat;
       so.update_weights = false;
-      Interpreter seq;
-      seq.consult_string(w.program);
-      const auto expected = solution_texts(seq.solve(w.query, so));
+      const auto expected = oracle_texts(w, so);
 
       // And-parallel ON, unified scheduler.
       Interpreter uni;
@@ -511,13 +434,12 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
       andp::AndParallelOptions o;
       o.search = so;
       o.fork = fork;
-      o.scheduler = kind;
       o.workers = workers;
       const auto res = andp::solve_and_parallel(uni, w.query, o);
       EXPECT_EQ(res.outcome, search::Outcome::Exhausted) << w.name;
       EXPECT_EQ(solution_texts(res.solutions), expected)
           << w.name << " fork=" << andp::fork_mode_name(fork)
-          << " sched=" << static_cast<int>(kind) << " workers=" << workers
+          << " workers=" << workers
           << " strat=" << search::strategy_name(strat);
       EXPECT_EQ(res.join_resolves, 1u) << w.name;
 
@@ -536,20 +458,17 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
 }
 
 TEST_P(AndOrGrid, SharedVariableSemiJoinOnOffIsByteIdentical) {
-  const auto [fork, kind, workers] = GetParam();
+  const auto [fork, workers] = GetParam();
   const Workload w = andor_workload_set()[1];  // the semi-join chain
-  Interpreter seq;
-  seq.consult_string(w.program);
   search::SearchOptions so;
   so.update_weights = false;
-  const auto expected = solution_texts(seq.solve(w.query, so));
+  const auto expected = oracle_texts(w, so);
   for (const bool semi : {true, false}) {
     Interpreter uni;
     uni.consult_string(w.program);
     andp::AndParallelOptions o;
     o.search = so;
     o.fork = fork;
-    o.scheduler = kind;
     o.workers = workers;
     o.use_semi_join = semi;
     const auto res = andp::solve_and_parallel(uni, w.query, o);
@@ -559,7 +478,7 @@ TEST_P(AndOrGrid, SharedVariableSemiJoinOnOffIsByteIdentical) {
 }
 
 TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
-  const auto [fork, kind, workers] = GetParam();
+  const auto [fork, workers] = GetParam();
   // A tiny group beside a large one, with a node budget that lets the
   // tiny group finish (and deposit its answers into the join) while the
   // large group is still running: the poisoned join must refuse to
@@ -574,7 +493,6 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     o.search.update_weights = false;
     o.search.limits.max_nodes = 10;  // tiny finishes, the DAG walk cannot
     o.fork = fork;
-    o.scheduler = kind;
     o.workers = workers;
     const auto res = andp::solve_and_parallel(ip, w.query, o);
     EXPECT_EQ(res.outcome, search::Outcome::BudgetExceeded);
@@ -590,7 +508,6 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     o.search.update_weights = false;
     o.search.cancel = &cancel;
     o.fork = fork;
-    o.scheduler = kind;
     o.workers = workers;
     const auto res = andp::solve_and_parallel(ip, w.query, o);
     EXPECT_EQ(res.outcome, search::Outcome::Cancelled);
@@ -604,8 +521,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(andp::ForkMode::Static,
                                          andp::ForkMode::Runtime,
                                          andp::ForkMode::Off),
-                       ::testing::Values(parallel::SchedulerKind::GlobalFrontier,
-                                         parallel::SchedulerKind::WorkStealing),
                        ::testing::Values(1u, 2u, 8u)));
 
 // ------------------------------------------------------- copy accounting --

@@ -19,7 +19,6 @@ namespace blog::parallel {
 namespace {
 
 using engine::Interpreter;
-using Spill = ParallelOptions::SpillPolicy;
 
 search::Node node_with_bound(double b) {
   search::Node n;
@@ -159,11 +158,18 @@ TEST(WorkStealing, OverflowOffloadsHalfToTheEmptiestPeer) {
     EXPECT_DOUBLE_EQ(s.acquire(0)->bound, expect);
 }
 
-TEST(Scheduler, KindNamesAreStable) {
-  EXPECT_STREQ(scheduler_kind_name(SchedulerKind::GlobalFrontier),
-               "global-frontier");
-  EXPECT_STREQ(scheduler_kind_name(SchedulerKind::WorkStealing),
-               "work-stealing");
+TEST(WorkStealing, StatsCountTraffic) {
+  WorkStealingScheduler s(2);
+  s.push_root(node_with_bound(0.0));
+  s.on_expanded(2);  // the root's expansion produced one more chain
+  std::vector<search::Node> batch;
+  batch.push_back(node_with_bound(1.0));
+  s.push_batch(0, std::move(batch));
+  ASSERT_TRUE(s.acquire(0).has_value());
+  const auto st = s.stats();
+  EXPECT_EQ(st.pushes, 2u);
+  EXPECT_EQ(st.pops, 1u);
+  s.stop();
 }
 
 // -------------------------------------------------- adaptive capacity ----
@@ -608,9 +614,7 @@ TEST(StaleRefresh, FreshPublishIsNotRefreshed) {
 
 // ------------------------------------- max_solutions exact-count (fix) --
 
-class SchedulerKindP : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(SchedulerKindP, MaxSolutionsNeverOvershootsUnderContention) {
+TEST(WorkStealingStress, MaxSolutionsNeverOvershootsUnderContention) {
   // Many workers racing a tiny limit on a solution-rich tree: the CAS
   // claim loop must keep the published count exactly at the limit, run
   // after run. (The old fetch_sub wrapped the counter past zero and let
@@ -622,17 +626,12 @@ TEST_P(SchedulerKindP, MaxSolutionsNeverOvershootsUnderContention) {
     po.limits.max_solutions = 3;
     po.local_capacity = 1;  // maximize sharing → maximize the race
     po.update_weights = false;
-    po.scheduler = GetParam();
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(r.solutions.size(), 3u) << "run " << run;
     EXPECT_EQ(r.outcome, search::Outcome::SolutionLimit);
     EXPECT_FALSE(r.exhausted);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Both, SchedulerKindP,
-                         ::testing::Values(SchedulerKind::GlobalFrontier,
-                                           SchedulerKind::WorkStealing));
 
 // ------------------------------------------------- steal-storm stress ----
 
@@ -649,7 +648,6 @@ TEST(WorkStealingStress, TinyDequesManyWorkersStayExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -670,8 +668,6 @@ TEST(WorkStealingStress, LazyHandleStormStaysExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -705,8 +701,6 @@ TEST(WorkStealingStress, MailboxStormStaysExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     po.claim_mailboxes = true;
     po.stale_refresh_interval = std::chrono::microseconds(1);
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
@@ -728,8 +722,6 @@ TEST(WorkStealingStress, SpinWaitStormStaysExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     po.claim_mailboxes = false;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
@@ -751,8 +743,6 @@ TEST(WorkStealingStress, LazyAbandonUnderStopRacesThievesCleanly) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(r.solutions.size(), 3u) << "run " << run;
     EXPECT_EQ(r.outcome, search::Outcome::SolutionLimit);
@@ -773,8 +763,6 @@ TEST(WorkStealingStress, LazyMigrationDetachAllRacesThievesCleanly) {
     po.local_capacity = 1;
     po.steal_deque_capacity = 2;
     po.adaptive_capacity = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
     const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
     EXPECT_EQ(r.solutions.size(), 40u) << "run " << run;
@@ -844,23 +832,6 @@ TEST(Preemption, DisabledTimerNeverPreempts) {
   EXPECT_EQ(preemptions, 0u);
 }
 
-TEST(WorkStealingStress, LazySpillKeepsTheSolutionSet) {
-  // SpillPolicy::WhenStarving defers materialization until someone is
-  // idle; the answer set must not depend on when copies happen.
-  const std::string program = workloads::layered_dag(4, 3);
-  const auto expected = sequential_expected(program, "path(n0_0,Z,P)");
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    ParallelOptions po;
-    po.workers = workers;
-    po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::WhenStarving;
-    const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
-    EXPECT_EQ(texts(r), expected) << "workers " << workers;
-    EXPECT_TRUE(r.exhausted);
-  }
-}
-
 TEST(WorkStealingStress, WeightUpdatesRaceCleanly) {
   // §5 weight updates on, many workers, tiny deques: exercises the
   // scheduler and the weight store together for the sanitizer jobs.
@@ -870,7 +841,6 @@ TEST(WorkStealingStress, WeightUpdatesRaceCleanly) {
   po.workers = 8;
   po.local_capacity = 1;
   po.steal_deque_capacity = 2;
-  po.scheduler = SchedulerKind::WorkStealing;
   ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
   const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
   EXPECT_EQ(r.solutions.size(), 40u);

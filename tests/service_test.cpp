@@ -258,10 +258,11 @@ TEST(SearchDeadline, ParallelDeadlineReportsBudgetExceeded) {
 
 TEST(Admission, ShedsWhenRunningAndQueueFull) {
   service::AdmissionGate gate(1, 0);
-  ASSERT_TRUE(gate.enter());
-  EXPECT_FALSE(gate.enter());  // no slot, no queue → shed
+  ASSERT_TRUE(gate.try_enter());
+  EXPECT_FALSE(gate.try_enter());  // no slot: not admitted, not counted
+  EXPECT_FALSE(gate.try_queue());  // no queue → shed
   gate.leave();
-  EXPECT_TRUE(gate.enter());
+  EXPECT_TRUE(gate.try_enter());
   gate.leave();
   const auto s = gate.stats();
   EXPECT_EQ(s.admitted, 2u);
@@ -269,21 +270,35 @@ TEST(Admission, ShedsWhenRunningAndQueueFull) {
   EXPECT_EQ(s.running, 0u);
 }
 
-TEST(Admission, QueuedCallerProceedsAfterLeave) {
+TEST(Admission, QueuedWaiterIsPromotedAfterLeave) {
   service::AdmissionGate gate(1, 4);
-  ASSERT_TRUE(gate.enter());
-  std::atomic<bool> admitted{false};
-  std::thread t([&] {
-    ASSERT_TRUE(gate.enter());  // waits for the slot
-    admitted = true;
-    gate.leave();
-  });
-  while (gate.stats().waiting == 0) std::this_thread::yield();
-  EXPECT_FALSE(admitted.load());
+  ASSERT_TRUE(gate.try_enter());
+  ASSERT_TRUE(gate.try_queue());
+  EXPECT_EQ(gate.stats().waiting, 1u);
+  EXPECT_FALSE(gate.promote_queued());  // the only slot is still taken
   gate.leave();
-  t.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(gate.stats().queued, 1u);
+  EXPECT_TRUE(gate.promote_queued());
+  EXPECT_FALSE(gate.promote_queued());  // nobody left waiting
+  gate.leave();
+  const auto s = gate.stats();
+  EXPECT_EQ(s.admitted, 2u);
+  EXPECT_EQ(s.queued, 1u);
+  EXPECT_EQ(s.waiting, 0u);
+  EXPECT_EQ(s.running, 0u);
+}
+
+TEST(Admission, AbandonedWaiterFreesItsQueuePlace) {
+  service::AdmissionGate gate(1, 1);
+  ASSERT_TRUE(gate.try_enter());
+  ASSERT_TRUE(gate.try_queue());
+  EXPECT_FALSE(gate.try_queue());  // queue of one is full
+  gate.abandon_queued();
+  EXPECT_TRUE(gate.try_queue());
+  gate.abandon_queued();
+  gate.leave();
+  const auto s = gate.stats();
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.waiting, 0u);
 }
 
 // --------------------------------------------- O(1) frontier min_bound fix --

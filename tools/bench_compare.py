@@ -35,7 +35,7 @@ Usage:
       [--require FILE:KEY:MIN ...]
                               headline summary keys that must be >= MIN in
                               the current run (e.g.
-                              BENCH_spill.json:deep_w8_copy_reduction:2.0)
+                              BENCH_numa.json:spin_reduction_all:5.0)
 
 Every BENCH_*.json carries a "host" record (NUMA node count, CPUs per
 node, hardware concurrency, CPU model) written by bench_json. The host

@@ -18,6 +18,11 @@ Checks, each independent (all run; any failure fails the process):
    reference (the literal string "ISSUE" on the same line), so stale notes
    can be traced to a tracked task.
 
+4. Knob tables: every knob named in the first column of a docs/TUNING.md
+   table (`name`, `Struct::name` or `outer.inner`) is a data member
+   declared in one of the options headers (OPTIONS_HEADERS), so a deleted
+   option cannot linger in the docs.
+
 Exit code 0 = clean, 1 = findings (printed one per line, grep-friendly).
 """
 
@@ -31,6 +36,16 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ERRORS: list[str] = []
+
+# Headers declaring the option structs that docs/TUNING.md documents.
+OPTIONS_HEADERS = [
+    "include/blog/parallel/engine.hpp",
+    "include/blog/parallel/executor.hpp",
+    "include/blog/search/limits.hpp",
+    "include/blog/search/node.hpp",
+    "include/blog/service/service.hpp",
+    "include/blog/andp/exec.hpp",
+]
 
 
 def err(msg: str) -> None:
@@ -131,11 +146,66 @@ def check_todo_references() -> None:
                         "without ISSUE reference")
 
 
+def strip_comments(text: str) -> str:
+    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def declared_fields(text: str) -> set[str]:
+    """Names declared as `<type> name;`, `<type> name = ...;` or
+    `<type> name{...};` — data members, in an options header."""
+    return set(re.findall(
+        r"[\w>*&]\s+([A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;", text))
+
+
+def struct_bodies(text: str) -> dict[str, str]:
+    """Body text of every `struct`/`class` definition, by name."""
+    bodies: dict[str, str] = {}
+    for m in re.finditer(r"\b(?:struct|class)\s+(\w+)[^;{]*\{", text):
+        depth, i = 1, m.end()
+        while depth and i < len(text):
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            i += 1
+        bodies.setdefault(m.group(1), text[m.end():i - 1])
+    return bodies
+
+
+def check_tuning_knobs() -> None:
+    doc = (REPO / "docs/TUNING.md").read_text()
+    code = "\n".join(strip_comments((REPO / h).read_text())
+                     for h in OPTIONS_HEADERS)
+    fields = declared_fields(code)
+    bodies = struct_bodies(code)
+    in_table = False
+    for lineno, line in enumerate(doc.splitlines(), 1):
+        cells = line.split("|")
+        if not line.startswith("|") or len(cells) < 3:
+            in_table = False
+            continue
+        first = cells[1].strip()
+        if first == "knob":  # header row of a knob table
+            in_table = True
+            continue
+        if not in_table or set(first) <= set("-: "):
+            continue
+        for knob in re.findall(r"`([^`]+)`", first):
+            owner, _, name = knob.rpartition("::")
+            if owner and owner not in bodies:
+                err(f"docs/TUNING.md:{lineno}: knob `{knob}`: no struct "
+                    f"{owner} in the options headers")
+                continue
+            scope = declared_fields(bodies[owner]) if owner else fields
+            if any(part not in scope for part in name.split(".")):
+                err(f"docs/TUNING.md:{lineno}: knob `{knob}` is not a field "
+                    f"declared in {owner or 'the options headers'}")
+
+
 def main() -> int:
     check_head_ops()
     check_trace_events()
     check_header_self_containment()
     check_todo_references()
+    check_tuning_knobs()
     if ERRORS:
         print(f"lint_blog: {len(ERRORS)} finding(s)", file=sys.stderr)
         return 1
