@@ -63,7 +63,7 @@ void BM_ImportTerm(benchmark::State& state) {
   const auto rt = term::parse_term("f(g(X,[1,2,3,4]),h(Y,Z),i(X,Y,Z))", src);
   for (auto _ : state) {
     term::Store dst;
-    std::unordered_map<term::TermRef, term::TermRef> vmap;
+    term::VarMap vmap;
     benchmark::DoNotOptimize(dst.import(src, rt.term, vmap));
   }
 }

@@ -16,9 +16,6 @@
 /// processors' local memories.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "blog/search/node.hpp"
 
 namespace blog::search {
@@ -118,8 +115,10 @@ public:
   /// Start a fresh derivation from the query (the root node). Pending
   /// choices must have been consumed, detached or dropped first.
   void load_root(const Query& q);
-  /// Adopt a detached (migrated) node as the current state. The node's
-  /// compacted store is taken over by move — migrating in costs nothing.
+  /// Make a detached (migrated) node the current state. The node's
+  /// compacted cells are copied into the runner's retained arena, which
+  /// keeps the capacity earlier derivations grew it to, so the expansions
+  /// that follow allocate nothing to grow it.
   void load(DetachedNode n);
 
   // --- current state -----------------------------------------------------
@@ -306,6 +305,10 @@ private:
       const Goal& goal) const;
   term::TermRef rename_clause(const db::Clause& clause,
                               std::vector<term::TermRef>& body);
+  /// Compact `roots_` out of the live store into `staging_` (outputs in
+  /// `out_`), as of the checkpoint whose trail segment is `undone` (empty:
+  /// the live state).
+  void compact_roots(std::span<const term::TermRef> undone = {});
   /// Match `goal` against `clause`'s head: compiled bytecode when
   /// options().head_bytecode, otherwise import-then-unify (the structural
   /// reference path). Bindings are trailed either way; the caller owns the
@@ -339,9 +342,16 @@ private:
   std::size_t published_count_ = 0;  // stack entries with a live handle
   SpillCounters spill_counters_;
 
-  // scratch (reused across steps to avoid allocation churn)
-  std::unordered_map<term::TermRef, term::TermRef> vmap_;
-  std::vector<term::TermRef> body_;
+  // Scratch, reused across steps and loads so that steady-state expansion
+  // allocates nothing for renaming or compaction.
+  term::VarMap vmap_;  ///< every clause renaming and compaction
+  std::vector<term::TermRef> body_;  ///< renamed body of the last reapply
+  std::vector<term::TermRef> roots_;  ///< compaction roots
+  std::vector<term::TermRef> out_;    ///< compaction outputs
+  /// A detached state is built here, then copied out into its own store:
+  /// one exact-size allocation per buffer, however the build grew.
+  term::Store staging_;
+  term::Trail staging_trail_;  ///< clause application inside staging_
   std::vector<PendingChoice> fresh_;
   db::HeadMatcher matcher_;
 };

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "blog/support/symbol.hpp"
@@ -36,6 +34,42 @@ struct Cell {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
   std::uint32_t c = 0;
+};
+
+/// Variable renaming of `Store::import` and compaction: source variable
+/// (a `TermRef` of the store being copied from) → its copy. A dense table
+/// indexed by source `TermRef` plus the list of entries set, so a caller
+/// that keeps one map reuses its memory across imports: `clear()` costs
+/// O(entries set), and once the table covers the largest source store no
+/// import allocates. Not thread-safe; one per worker or call site.
+class VarMap {
+public:
+  /// The copy of source variable `v`, or kNullTerm when unmapped.
+  [[nodiscard]] TermRef find(TermRef v) const {
+    return v < to_.size() ? to_[v] : kNullTerm;
+  }
+  /// Map `v` to `to` (`to` != kNullTerm).
+  void set(TermRef v, TermRef to) {
+    if (v >= to_.size()) cover(v + 1);
+    if (to_[v] == kNullTerm) set_.push_back(v);
+    to_[v] = to;
+  }
+  /// Grow the table to index every `TermRef` below `cells` (one
+  /// allocation for a whole import instead of one per new variable).
+  void cover(std::size_t cells) {
+    if (cells > to_.size()) to_.resize(cells, kNullTerm);
+  }
+  /// Forget every entry, keeping the memory.
+  void clear() {
+    for (const TermRef v : set_) to_[v] = kNullTerm;
+    set_.clear();
+  }
+  /// Number of entries set since the last clear().
+  [[nodiscard]] std::size_t size() const { return set_.size(); }
+
+private:
+  std::vector<TermRef> to_;   // indexed by source TermRef; kNullTerm = unset
+  std::vector<TermRef> set_;  // the source refs set, for clear()
 };
 
 /// Arena of term cells plus argument pool. Movable, cheap to create.
@@ -116,17 +150,20 @@ public:
   /// Deep-copy `t` (in `src`) into this store, dereferencing bindings along
   /// the way. Unbound source variables map to fresh variables here;
   /// `var_map` makes the mapping stable across multiple copies (clause
-  /// renaming, answer extraction).
-  TermRef import(const Store& src, TermRef t,
-                 std::unordered_map<TermRef, TermRef>& var_map);
+  /// renaming, answer extraction) until the caller clears it. Cells are
+  /// allocated in post-order (arguments before their structure), which is
+  /// what numbers anonymous variables' `_G<n>` names; nothing but this
+  /// store's cells and argument slots is allocated.
+  TermRef import(const Store& src, TermRef t, VarMap& var_map);
 
   /// Export exactly the cells reachable from `roots` into `dst` (one term
   /// per root appended to `out`), dereferencing bindings along the way and
-  /// sharing variables across roots through one map. This is the
-  /// copy-on-migration primitive: the result is an independent, compacted
-  /// state no matter how large this (trail-managed) arena has grown.
+  /// sharing variables across roots through `map` (scratch: cleared on
+  /// entry). This is the copy-on-migration primitive: the result is an
+  /// independent, compacted state no matter how large this (trail-managed)
+  /// arena has grown.
   void compact_into(Store& dst, std::span<const TermRef> roots,
-                    std::vector<TermRef>& out) const;
+                    std::vector<TermRef>& out, VarMap& map) const;
 
   /// `compact_into` as of an earlier checkpoint: variables in `undone`
   /// (the trail segment recorded since that checkpoint) are treated as
@@ -136,10 +173,11 @@ public:
   /// them through bindings the view undoes), so the result is exactly the
   /// checkpointed state. This is what lets a worker materialize a
   /// copy-on-steal spill handle for a thief while its own derivation keeps
-  /// running above the handle's checkpoint.
+  /// running above the handle's checkpoint. The undone variables are
+  /// marked in `map` itself (scratch: cleared on entry).
   void compact_into_as_of(Store& dst, std::span<const TermRef> roots,
                           std::vector<TermRef>& out,
-                          const std::unordered_set<TermRef>& undone) const;
+                          std::span<const TermRef> undone, VarMap& map) const;
 
   /// Structural equality of two (possibly cross-store) terms after deref.
   /// Unbound variables are equal only when `lhs`/`rhs` resolve to the same
@@ -154,6 +192,12 @@ public:
   [[nodiscard]] std::size_t reachable_cells(TermRef t) const;
 
 private:
+  /// The one copy traversal behind import and both compactions: the live
+  /// view (kAsOf = false) or the checkpoint as-of view, where `map`'s
+  /// entries for bound variables mark bindings to treat as undone.
+  template <bool kAsOf>
+  TermRef copy_from(const Store& src, TermRef t, VarMap& map);
+
   std::vector<Cell> cells_;
   std::vector<TermRef> args_;
 };

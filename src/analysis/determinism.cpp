@@ -24,10 +24,10 @@ std::optional<db::FirstArgKey> head_key(const db::Clause& c) {
 /// can match both clauses — they are not mutually exclusive.
 bool heads_unify(const db::Clause& a, const db::Clause& b) {
   term::Store scratch;
-  std::unordered_map<term::TermRef, term::TermRef> va;
-  std::unordered_map<term::TermRef, term::TermRef> vb;
-  const term::TermRef ha = scratch.import(a.store(), a.head(), va);
-  const term::TermRef hb = scratch.import(b.store(), b.head(), vb);
+  term::VarMap vmap;
+  const term::TermRef ha = scratch.import(a.store(), a.head(), vmap);
+  vmap.clear();  // rename b apart from a
+  const term::TermRef hb = scratch.import(b.store(), b.head(), vmap);
   term::Trail trail;
   return term::unify(scratch, ha, hb, trail);
 }

@@ -37,7 +37,7 @@ RelationResult solve_to_relation(
   for (const auto& [name, v] : vars) out.rel.schema.push_back(name);
 
   search::Query q;
-  std::unordered_map<term::TermRef, term::TermRef> vmap;
+  term::VarMap vmap;
   // Answer template $ans(V1,...,Vk) shares variables with the goals.
   if (!vars.empty()) {
     std::vector<term::TermRef> args;

@@ -93,7 +93,7 @@ WorkItem make_item(engine::Interpreter& ip, const term::Store& store,
   // Import goals and answer variables through one vmap so they share
   // variables inside the item's query store.
   search::Query& q = item.query;
-  std::unordered_map<term::TermRef, term::TermRef> vmap;
+  term::VarMap vmap;
   term::TermRef inner;
   if (!item.vars.empty()) {
     std::vector<term::TermRef> args;

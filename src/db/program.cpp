@@ -35,6 +35,7 @@ ClauseId Program::add_clause(Clause c) {
 void Program::consult_string(std::string_view text) {
   term::Store scratch;
   term::Reader reader(text, scratch);
+  term::VarMap vmap;
   while (auto rt = reader.next()) {
     const term::TermRef t = scratch.deref(rt->term);
     term::TermRef head = t;
@@ -45,13 +46,15 @@ void Program::consult_string(std::string_view text) {
       flatten_conj(scratch, scratch.arg(t, 1), body);
     }
     // Re-import head and body into the clause's private store so the
-    // scratch store can be reused.
+    // scratch store can be reused: emptied per clause, it (and the map
+    // indexed by its cells) stays the size of the largest clause.
     term::Store cs;
-    std::unordered_map<term::TermRef, term::TermRef> vmap;
+    vmap.clear();
     const term::TermRef h = cs.import(scratch, head, vmap);
     std::vector<term::TermRef> b(body.size());
     for (std::size_t i = 0; i < body.size(); ++i)
       b[i] = cs.import(scratch, body[i], vmap);
+    scratch.clear();
     add_clause(Clause(std::move(cs), h, std::move(b)));
   }
 }

@@ -22,7 +22,7 @@ std::uint64_t Expander::next_id() const {
 
 DetachedNode Expander::make_root(const Query& q) const {
   DetachedNode root;
-  std::unordered_map<term::TermRef, term::TermRef> vmap;
+  term::VarMap vmap;
   // The answer template must share variables with the goals, so import it
   // first through the same variable map.
   if (q.answer != term::kNullTerm)
@@ -125,7 +125,7 @@ DetachedNode Expander::make_child(const DetachedNode& parent, const db::Clause& 
                           const std::vector<term::TermRef>& renamed_body,
                           const Arc& arc, ExpandStats* stats) const {
   DetachedNode child;
-  std::unordered_map<term::TermRef, term::TermRef> vmap;
+  term::VarMap vmap;
   if (parent.answer != term::kNullTerm)
     child.answer = child.store.import(parent.store, parent.answer, vmap);
 
@@ -189,10 +189,11 @@ void Expander::expand(DetachedNode n, ExpandOutput& out, ExpandStats* stats) con
   const std::span<const db::ClauseId> cands = candidates_for(n.store, goal);
 
   bool any = false;
+  term::VarMap vmap;
   for (const db::ClauseId cid : cands) {
     const db::Clause& clause = program_.clause(cid);
     // Rename the clause into the parent store, attempt head unification.
-    std::unordered_map<term::TermRef, term::TermRef> vmap;
+    vmap.clear();
     const term::TermRef head = n.store.import(clause.store(), clause.head(), vmap);
     std::vector<term::TermRef> body(clause.body().size());
     for (std::size_t i = 0; i < body.size(); ++i)

@@ -34,14 +34,14 @@ void Runner::load_root(const Query& q) {
 
 void Runner::load(DetachedNode n) {
   assert(stack_.empty());
-  // The detached store is already compacted; adopt it wholesale instead of
-  // re-importing. The trail refers to the store being discarded, so it is
-  // forgotten, not undone.
+  // The detached store is already compacted: copy its cells wholesale
+  // (no re-import) into the retained arena and goal list, whose capacity
+  // outlives the node's exact-size buffers. The trail refers to the state
+  // being replaced, so it is forgotten, not undone.
   trail_.clear();
-  store_ = std::move(n.store);
+  store_ = n.store;
   answer_ = n.answer;
-  state_ = State{};
-  state_.goals = std::move(n.goals);
+  state_.goals.assign(n.goals.begin(), n.goals.end());
   state_.bound = n.bound;
   state_.depth = n.depth;
   state_.chain = std::move(n.chain);
@@ -245,6 +245,12 @@ std::span<const db::ClauseId> Runner::candidates(const Goal& goal) const {
   return ex_.candidates_for(store_, goal);
 }
 
+void Runner::compact_roots(std::span<const term::TermRef> undone) {
+  staging_.clear();
+  out_.clear();
+  store_.compact_into_as_of(staging_, roots_, out_, undone, vmap_);
+}
+
 void Runner::push_min(double bound) {
   minb_.push_back(minb_.empty() ? bound : std::min(minb_.back(), bound));
 }
@@ -277,7 +283,7 @@ void Runner::reapply(const PendingChoice& c) {
     (void)ok;
     vmap_.clear();
     for (std::uint32_t i = 0; i < hc.slot_count(); ++i)
-      vmap_[hc.slot_var(i)] = matcher_.slot(i);
+      vmap_.set(hc.slot_var(i), matcher_.slot(i));
     body_.resize(clause.body().size());
     for (std::size_t i = 0; i < body_.size(); ++i)
       body_[i] = store_.import(clause.store(), clause.body()[i], vmap_);
@@ -407,31 +413,30 @@ DetachedNode Runner::materialize(PendingChoice&& c, ExpandStats* stats) {
   // Compact the child state out: answer first (same order as the legacy
   // materializing expansion, so variable sharing and layout match), then
   // the clause body, then the remaining goals.
-  std::vector<term::TermRef> roots;
   const std::vector<Goal>& pg = *c.goals;
-  roots.reserve(1 + body_.size() + pg.size());
   const bool with_answer = answer_ != term::kNullTerm;
-  if (with_answer) roots.push_back(answer_);
-  for (const term::TermRef b : body_) roots.push_back(b);
+  roots_.clear();
+  if (with_answer) roots_.push_back(answer_);
+  roots_.insert(roots_.end(), body_.begin(), body_.end());
   for (std::size_t i = 1; i < pg.size(); ++i)
-    roots.push_back(pg[i].term);
+    roots_.push_back(pg[i].term);
+  compact_roots();
 
   DetachedNode d;
-  std::vector<term::TermRef> out;
-  store_.compact_into(d.store, roots, out);
+  d.store = staging_;
   std::size_t k = 0;
-  if (with_answer) d.answer = out[k++];
+  if (with_answer) d.answer = out_[k++];
   d.goals.reserve(body_.size() + pg.size() - 1);
   for (std::size_t i = 0; i < body_.size(); ++i) {
     Goal g;
-    g.term = out[k++];
+    g.term = out_[k++];
     g.src_clause = c.arc.key.callee;
     g.src_literal = static_cast<std::uint32_t>(i);
     d.goals.push_back(g);
   }
   for (std::size_t i = 1; i < pg.size(); ++i) {
     Goal g = pg[i];
-    g.term = out[k++];
+    g.term = out_[k++];
     d.goals.push_back(g);
   }
   d.bound = c.bound;
@@ -485,21 +490,20 @@ std::vector<DetachedNode> Runner::detach_all(ExpandStats* stats) {
 
 DetachedNode Runner::detach_state(ExpandStats* stats) {
   assert(has_state_);
-  std::vector<term::TermRef> roots;
   const bool with_answer = answer_ != term::kNullTerm;
-  roots.reserve(1 + state_.goals.size());
-  if (with_answer) roots.push_back(answer_);
-  for (const Goal& g : state_.goals) roots.push_back(g.term);
+  roots_.clear();
+  if (with_answer) roots_.push_back(answer_);
+  for (const Goal& g : state_.goals) roots_.push_back(g.term);
+  compact_roots();
 
   DetachedNode d;
-  std::vector<term::TermRef> out;
-  store_.compact_into(d.store, roots, out);
+  d.store = staging_;
   std::size_t k = 0;
-  if (with_answer) d.answer = out[k++];
+  if (with_answer) d.answer = out_[k++];
   d.goals.reserve(state_.goals.size());
   for (const Goal& src : state_.goals) {
     Goal g = src;
-    g.term = out[k++];
+    g.term = out_[k++];
     d.goals.push_back(g);
   }
   d.bound = state_.bound;
@@ -577,53 +581,49 @@ DetachedNode Runner::materialize_as_of(const PendingChoice& c,
   // Reconstruct the choice's parent state as of its checkpoint through the
   // trail's as-of view: every binding trailed since the checkpoint is
   // treated as undone, so the live derivation above it is untouched.
-  // (Bindings of post-checkpoint variables may be in the set too; they are
-  // unreachable under the view and therefore harmless.)
-  std::unordered_set<term::TermRef> undone;
-  for (const term::TermRef v : trail_.entries_since(c.cp.trail))
-    if (v < c.cp.store.cells) undone.insert(v);
-
+  // (Bindings of post-checkpoint variables are in the segment too; they
+  // are unreachable under the view and therefore harmless.)
   const std::vector<Goal>& pg = *c.goals;
-  std::vector<term::TermRef> roots;
   const bool with_answer = answer_ != term::kNullTerm;
-  roots.reserve(1 + pg.size());
-  if (with_answer) roots.push_back(answer_);
-  for (const Goal& g : pg) roots.push_back(g.term);
-
-  DetachedNode d;
-  std::vector<term::TermRef> out;
-  store_.compact_into_as_of(d.store, roots, out, undone);
+  roots_.clear();
+  if (with_answer) roots_.push_back(answer_);
+  for (const Goal& g : pg) roots_.push_back(g.term);
+  compact_roots(trail_.entries_since(c.cp.trail));
   std::size_t k = 0;
-  if (with_answer) d.answer = out[k++];
-  const term::TermRef goal0 = out[k];
+  const term::TermRef answer = with_answer ? out_[k++] : term::kNullTerm;
+  const term::TermRef goal0 = out_[k];
 
-  // Apply the choice's clause inside the detached copy: rename head and
-  // body there and redo the unification this choice was filtered with —
+  // Apply the choice's clause inside the staged copy: rename head and body
+  // there and redo the unification this choice was filtered with —
   // guaranteed to succeed, the compacted state being the very one it
   // succeeded against.
   const db::Clause& clause = ex_.program().clause(c.clause);
-  std::unordered_map<term::TermRef, term::TermRef> cmap;
-  const term::TermRef head = d.store.import(clause.store(), clause.head(), cmap);
-  std::vector<term::TermRef> body(clause.body().size());
-  for (std::size_t i = 0; i < body.size(); ++i)
-    body[i] = d.store.import(clause.store(), clause.body()[i], cmap);
-  term::Trail scratch;
-  const bool ok = term::unify(d.store, goal0, head, scratch,
+  vmap_.clear();
+  const term::TermRef head =
+      staging_.import(clause.store(), clause.head(), vmap_);
+  body_.resize(clause.body().size());
+  for (std::size_t i = 0; i < body_.size(); ++i)
+    body_[i] = staging_.import(clause.store(), clause.body()[i], vmap_);
+  staging_trail_.clear();
+  const bool ok = term::unify(staging_, goal0, head, staging_trail_,
                               {.occurs_check = ex_.options().occurs_check});
   assert(ok);
   (void)ok;
 
-  d.goals.reserve(body.size() + pg.size() - 1);
-  for (std::size_t i = 0; i < body.size(); ++i) {
+  DetachedNode d;
+  d.store = staging_;
+  d.answer = answer;
+  d.goals.reserve(body_.size() + pg.size() - 1);
+  for (std::size_t i = 0; i < body_.size(); ++i) {
     Goal g;
-    g.term = body[i];
+    g.term = body_[i];
     g.src_clause = c.arc.key.callee;
     g.src_literal = static_cast<std::uint32_t>(i);
     d.goals.push_back(g);
   }
   for (std::size_t i = 1; i < pg.size(); ++i) {
     Goal g = pg[i];
-    g.term = out[k + i];
+    g.term = out_[k + i];
     d.goals.push_back(g);
   }
   d.bound = c.bound;
@@ -645,10 +645,10 @@ Solution Runner::extract_solution(ExpandStats* stats) {
   sol.bound = state_.bound;
   sol.depth = state_.depth;
   if (answer_ != term::kNullTerm) {
-    const term::TermRef roots[1] = {answer_};
-    std::vector<term::TermRef> out;
-    store_.compact_into(sol.store, roots, out);
-    sol.answer = out[0];
+    roots_.assign(1, answer_);
+    compact_roots();
+    sol.store = staging_;
+    sol.answer = out_[0];
     if (stats) {
       stats->cells_copied += sol.store.size();
       ++stats->detaches;

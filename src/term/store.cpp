@@ -50,49 +50,58 @@ TermRef Store::deref(TermRef t) const {
 
 namespace {
 
-/// deref that treats any variable in `undone` as unbound: its binding was
-/// made after the checkpoint being reconstructed. nullptr = plain deref.
-TermRef deref_maybe_as_of(const Store& s, TermRef t,
-                          const std::unordered_set<TermRef>* undone) {
-  while (s.is_var(t) && !s.is_unbound(t) &&
-         (undone == nullptr || !undone->contains(t)))
-    t = s.cell(t).a;
-  return t;
-}
+/// Entry of a variable the as-of view treats as unbound (its binding was
+/// made after the checkpoint being reconstructed) until it is copied. No
+/// store grows to 2^32 - 1 cells, so it never collides with a real copy.
+constexpr TermRef kUnboundAsOf = 0xfffffffeu;
 
-/// The one import traversal, shared by the live view (undone == nullptr)
-/// and the checkpoint as-of view.
-TermRef import_impl(Store& dst, const Store& src, TermRef t,
-                    std::unordered_map<TermRef, TermRef>& var_map,
-                    const std::unordered_set<TermRef>* undone) {
-  t = deref_maybe_as_of(src, t, undone);
-  const Cell& c = src.cell(t);
+}  // namespace
+
+template <bool kAsOf>
+TermRef Store::copy_from(const Store& src, TermRef t, VarMap& map) {
+  if constexpr (kAsOf) {
+    // A variable with an entry in the map is unbound in the view (only
+    // unbound variables and undone ones get entries), so the walk stops
+    // there even when the live store has bound it since.
+    while (src.is_var(t) && !src.is_unbound(t) && map.find(t) == kNullTerm)
+      t = src.cell(t).a;
+  } else {
+    t = src.deref(t);
+  }
+  const Cell c = src.cell(t);
   switch (c.tag) {
     case Tag::Var: {
-      if (auto it = var_map.find(t); it != var_map.end()) return it->second;
-      const TermRef v = dst.make_var(Symbol{c.b});
-      var_map.emplace(t, v);
+      if (const TermRef m = map.find(t); m != kNullTerm && m != kUnboundAsOf)
+        return m;
+      const TermRef v = make_var(Symbol{c.b});
+      map.set(t, v);
       return v;
     }
     case Tag::Atom:
-      return dst.make_atom(Symbol{c.a});
+      return make_atom(Symbol{c.a});
     case Tag::Int:
-      return dst.make_int(src.int_value(t));
+      return make_int(src.int_value(t));
     case Tag::Struct: {
-      std::vector<TermRef> kids(c.c);
-      for (std::uint32_t i = 0; i < c.c; ++i)
-        kids[i] = import_impl(dst, src, src.arg(t, i), var_map, undone);
-      return dst.make_struct(Symbol{c.a}, kids);
+      // Reserve the argument block before copying the arguments and fill it
+      // in place; the structure cell itself still comes after its
+      // arguments' cells (post-order).
+      const auto off = static_cast<std::uint32_t>(args_.size());
+      args_.resize(off + c.c);
+      for (std::uint32_t i = 0; i < c.c; ++i) {
+        const TermRef k = copy_from<kAsOf>(src, src.args_[c.b + i], map);
+        args_[off + i] = k;
+      }
+      const auto idx = static_cast<TermRef>(cells_.size());
+      cells_.push_back(Cell{Tag::Struct, c.a, off, c.c});
+      return idx;
     }
   }
   return kNullTerm;  // unreachable
 }
 
-}  // namespace
-
-TermRef Store::import(const Store& src, TermRef t,
-                      std::unordered_map<TermRef, TermRef>& var_map) {
-  return import_impl(*this, src, t, var_map, nullptr);
+TermRef Store::import(const Store& src, TermRef t, VarMap& var_map) {
+  var_map.cover(src.size());
+  return copy_from<false>(src, t, var_map);
 }
 
 void Store::truncate(const Watermark& m) {
@@ -102,20 +111,23 @@ void Store::truncate(const Watermark& m) {
 }
 
 void Store::compact_into(Store& dst, std::span<const TermRef> roots,
-                         std::vector<TermRef>& out) const {
-  std::unordered_map<TermRef, TermRef> var_map;
+                         std::vector<TermRef>& out, VarMap& map) const {
+  map.clear();
+  map.cover(size());
   out.reserve(out.size() + roots.size());
-  for (const TermRef r : roots) out.push_back(dst.import(*this, r, var_map));
+  for (const TermRef r : roots) out.push_back(dst.copy_from<false>(*this, r, map));
 }
 
 void Store::compact_into_as_of(Store& dst, std::span<const TermRef> roots,
                                std::vector<TermRef>& out,
-                               const std::unordered_set<TermRef>& undone) const {
-  if (undone.empty()) return compact_into(dst, roots, out);
-  std::unordered_map<TermRef, TermRef> var_map;
+                               std::span<const TermRef> undone,
+                               VarMap& map) const {
+  if (undone.empty()) return compact_into(dst, roots, out, map);
+  map.clear();
+  map.cover(size());
+  for (const TermRef v : undone) map.set(v, kUnboundAsOf);
   out.reserve(out.size() + roots.size());
-  for (const TermRef r : roots)
-    out.push_back(import_impl(dst, *this, r, var_map, &undone));
+  for (const TermRef r : roots) out.push_back(dst.copy_from<true>(*this, r, map));
 }
 
 bool Store::equal(const Store& sa, TermRef a, const Store& sb, TermRef b) {

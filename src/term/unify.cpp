@@ -13,12 +13,49 @@ void Trail::undo_to(std::size_t mark, Store& store) {
 
 namespace {
 
+/// The unifier's work stack of pending pairs: a fixed inline buffer on the
+/// caller's stack that spills to the heap only for terms with more
+/// outstanding pairs than it holds, so a typical unification allocates
+/// nothing. Entries beyond the buffer live in `spill_`, which is non-empty
+/// only while the buffer is full, so popping it first keeps LIFO order.
+class WorkStack {
+public:
+  struct Pair {
+    TermRef a;
+    TermRef b;
+  };
+  [[nodiscard]] bool empty() const { return n_ == 0; }
+  void push(TermRef a, TermRef b) {
+    if (n_ < kInline) {
+      inline_[n_++] = Pair{a, b};
+    } else {
+      spill_.push_back(Pair{a, b});
+    }
+  }
+  Pair pop() {
+    if (!spill_.empty()) {
+      const Pair p = spill_.back();
+      spill_.pop_back();
+      return p;
+    }
+    return inline_[--n_];
+  }
+
+private:
+  static constexpr std::size_t kInline = 64;
+  // Left uninitialized so a call pays nothing for unused slots: only
+  // [0, n_) is read, and push() writes each slot before it counts.
+  Pair inline_[kInline];
+  std::size_t n_ = 0;
+  std::vector<Pair> spill_;
+};
+
 bool unify_impl(Store& s, TermRef a, TermRef b, Trail& trail,
                 const UnifyOptions& opts, UnifyStats* stats) {
-  std::vector<std::pair<TermRef, TermRef>> todo{{a, b}};
+  WorkStack todo;
+  todo.push(a, b);
   while (!todo.empty()) {
-    auto [x, y] = todo.back();
-    todo.pop_back();
+    auto [x, y] = todo.pop();
     x = s.deref(x);
     y = s.deref(y);
     if (stats) ++stats->cells_visited;
@@ -49,7 +86,7 @@ bool unify_impl(Store& s, TermRef a, TermRef b, Trail& trail,
       case Tag::Struct: {
         if (s.functor(x) != s.functor(y) || s.arity(x) != s.arity(y)) return false;
         const auto ax = s.args(x), ay = s.args(y);
-        for (std::size_t i = 0; i < ax.size(); ++i) todo.emplace_back(ax[i], ay[i]);
+        for (std::size_t i = 0; i < ax.size(); ++i) todo.push(ax[i], ay[i]);
         break;
       }
       case Tag::Var:

@@ -171,7 +171,7 @@ TEST(HeadMatcher, MatchesStructuralUnificationExactly) {
     term::Store sb;
     const auto gb = term::parse_term(goal_text, sb);
     term::Trail tb;
-    std::unordered_map<term::TermRef, term::TermRef> vmap;
+    term::VarMap vmap;
     const term::TermRef head = sb.import(c.store(), c.head(), vmap);
     const bool ok_unify = term::unify(sb, gb.term, head, tb);
 

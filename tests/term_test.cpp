@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "blog/term/reader.hpp"
 #include "blog/term/store.hpp"
 #include "blog/term/unify.hpp"
@@ -54,7 +57,7 @@ TEST(Store, UnbindRestoresVar) {
 TEST(Store, ImportCopiesStructure) {
   Store src, dst;
   const TermRef t = parse(src, "f(a,g(B,B),3)");
-  std::unordered_map<TermRef, TermRef> vmap;
+  VarMap vmap;
   const TermRef u = dst.import(src, t, vmap);
   EXPECT_EQ(to_string(dst, u), to_string(src, t));
   // shared variable B maps to a single fresh var
@@ -67,9 +70,90 @@ TEST(Store, ImportDereferencesBindings) {
   const TermRef x = src.deref(src.arg(src.deref(t), 0));
   Trail trail;
   ASSERT_TRUE(unify(src, x, src.make_atom("hello"), trail));
-  std::unordered_map<TermRef, TermRef> vmap;
+  VarMap vmap;
   const TermRef u = dst.import(src, t, vmap);
   EXPECT_EQ(to_string(dst, u), "f(hello)");
+}
+
+TEST(Store, ImportRenamesApartOnlyAfterClear) {
+  Store src, dst;
+  const TermRef clause = parse(src, "app([H|T],L,[H|R])");
+  VarMap vmap;
+  const TermRef c1 = dst.import(src, clause, vmap);
+  EXPECT_EQ(vmap.size(), 4u);  // H, T, L, R
+  vmap.clear();
+  EXPECT_EQ(vmap.size(), 0u);
+  const TermRef c2 = dst.import(src, clause, vmap);
+  std::vector<TermRef> v1, v2;
+  collect_vars(dst, c1, v1);
+  collect_vars(dst, c2, v2);
+  ASSERT_EQ(v1.size(), 4u);
+  ASSERT_EQ(v2.size(), 4u);
+  for (const TermRef v : v1)
+    EXPECT_EQ(std::find(v2.begin(), v2.end(), v), v2.end())
+        << "a stale entry aliased the two renamings";
+  // Without a clear, the map keeps sharing: a third import is c2 again.
+  const TermRef c3 = dst.import(src, clause, vmap);
+  std::vector<TermRef> v3;
+  collect_vars(dst, c3, v3);
+  EXPECT_EQ(v3, v2);
+}
+
+TEST(Store, ImportSharesVariablesAcrossRootsThroughOneMap) {
+  Store src, dst;
+  const TermRef t = src.deref(parse(src, "h(f(X,Y),g(Y,Z))"));
+  VarMap vmap;
+  const TermRef f = dst.import(src, src.arg(t, 0), vmap);
+  const TermRef g = dst.import(src, src.arg(t, 1), vmap);
+  EXPECT_EQ(vmap.size(), 3u);
+  Trail trail;
+  ASSERT_TRUE(unify(dst, dst.arg(f, 1), dst.make_atom("b"), trail));
+  EXPECT_EQ(to_string(dst, g), "g(b,Z)");
+  EXPECT_EQ(to_string(dst, f), "f(X,b)");
+}
+
+TEST(Store, CompactIntoNamesAnonymousVariablesByCellOrder) {
+  // Anonymous variables render as _G<cell>; compaction allocates cells in
+  // post-order (arguments before their structure), so the rendered names
+  // are fixed by the traversal order and must not drift.
+  Store src;
+  const TermRef roots[2] = {parse(src, "p(_,g(a,_),_)"),
+                            parse(src, "q(_,[_|_])")};
+  Store dst;
+  std::vector<TermRef> out;
+  VarMap vmap;
+  src.compact_into(dst, roots, out, vmap);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(to_string(dst, out[0]), "p(_G0,g(a,_G2),_G4)");
+  EXPECT_EQ(to_string(dst, out[1]), "q(_G6,[_G7|_G8])");
+}
+
+TEST(Store, CompactAsOfTreatsUndoneBindingsAsUnbound) {
+  Store s;
+  const TermRef t = s.deref(parse(s, "f(X,Y,g(X))"));
+  const TermRef x = s.deref(s.arg(t, 0));
+  const TermRef y = s.deref(s.arg(t, 1));
+  Trail trail;
+  ASSERT_TRUE(unify(s, y, s.make_atom("early"), trail));
+  const Checkpoint cp = checkpoint(s, trail);
+  ASSERT_TRUE(unify(s, x, parse(s, "h(Z)"), trail));
+
+  const TermRef roots[1] = {t};
+  Store live, past;
+  std::vector<TermRef> lo, po;
+  VarMap vmap;  // reused: each compaction clears it on entry
+  s.compact_into(live, roots, lo, vmap);
+  s.compact_into_as_of(past, roots, po, trail.entries_since(cp.trail), vmap);
+  EXPECT_EQ(to_string(live, lo[0]), "f(h(Z),early,g(h(Z)))");
+  // X's binding was made after the checkpoint: unbound in the view, and
+  // both of its occurrences are one variable of the copy.
+  EXPECT_EQ(to_string(past, po[0]), "f(X,early,g(X))");
+  const TermRef p = past.deref(po[0]);
+  EXPECT_EQ(past.deref(past.arg(p, 0)),
+            past.deref(past.arg(past.deref(past.arg(p, 2)), 0)));
+  EXPECT_TRUE(past.is_unbound(past.deref(past.arg(p, 0))));
+  // The live store is untouched.
+  EXPECT_FALSE(s.is_unbound(x));
 }
 
 TEST(Store, ReachableCellsCountsTree) {
@@ -319,6 +403,28 @@ TEST(Unify, StatsCountWork) {
   ASSERT_TRUE(unify(s, parse(s, "f(A,B,C)"), parse(s, "f(1,2,3)"), tr, {}, &st));
   EXPECT_EQ(st.bindings, 3u);
   EXPECT_GE(st.cells_visited, 4u);
+}
+
+TEST(Unify, LongListsBindInStackOrderPastTheInlineBuffer) {
+  // Unifying two lists defers every head pair while it walks the tails,
+  // so a 200-element list holds more pending pairs than the work stack's
+  // inline buffer. The pairs must still pop last-in first-out: the last
+  // element binds first, the order head bytecode reproduces.
+  constexpr int kN = 200;
+  std::string vars = "[", ints = "[";
+  for (int i = 0; i < kN; ++i) {
+    vars += (i ? ",X" : "X") + std::to_string(i);
+    ints += (i ? "," : "") + std::to_string(i);
+  }
+  Store s;
+  const TermRef l = parse(s, vars + "]");
+  const TermRef r = parse(s, ints + "]");
+  Trail tr;
+  ASSERT_TRUE(unify(s, l, r, tr));
+  const auto bound = tr.entries_since(0);
+  ASSERT_EQ(bound.size(), static_cast<std::size_t>(kN));
+  for (int i = 0; i < kN; ++i)
+    EXPECT_EQ(s.int_value(s.deref(bound[i])), kN - 1 - i) << "trail entry " << i;
 }
 
 TEST(Unify, IsGroundAndCollectVars) {

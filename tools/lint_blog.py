@@ -23,6 +23,13 @@ Checks, each independent (all run; any failure fails the process):
    declared in one of the options headers (OPTIONS_HEADERS), so a deleted
    option cannot linger in the docs.
 
+5. Doc anchors: every `path:line` in docs/*.md and README.md names an
+   existing file and a line inside it. When a backticked name directly
+   precedes the anchor (only spaces, `(` or `,` between them, as in
+   `Runner::load` (`include/...:123`)), the name's last `::` component
+   appears within ANCHOR_SLACK lines of the anchored line, so an anchor
+   that drifted off its declaration fails instead of pointing elsewhere.
+
 Exit code 0 = clean, 1 = findings (printed one per line, grep-friendly).
 """
 
@@ -46,6 +53,10 @@ OPTIONS_HEADERS = [
     "include/blog/service/service.hpp",
     "include/blog/andp/exec.hpp",
 ]
+
+
+# How far (in lines) a named anchor may sit from its name's declaration.
+ANCHOR_SLACK = 3
 
 
 def err(msg: str) -> None:
@@ -200,12 +211,47 @@ def check_tuning_knobs() -> None:
                     f"declared in {owner or 'the options headers'}")
 
 
+ANCHOR = re.compile(r"`([\w./-]+\.\w+):(\d+)`")
+# A backticked identifier (optionally `::`-qualified, optionally with `()`)
+# followed by nothing but spaces, `(` or `,` up to the anchor.
+PRECEDING_NAME = re.compile(r"`([A-Za-z_]\w*(?:::\w+)*)(?:\(\))?`[\s(,]*\Z")
+
+
+def check_doc_anchors() -> None:
+    docs = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+    for doc in docs:
+        text = doc.read_text()
+        rel_doc = doc.relative_to(REPO).as_posix()
+        for m in ANCHOR.finditer(text):
+            path, line = m.group(1), int(m.group(2))
+            where = f"{rel_doc}:{text.count(chr(10), 0, m.start()) + 1}"
+            target = REPO / path
+            if not target.is_file():
+                err(f"{where}: anchor `{path}:{line}` names no file")
+                continue
+            lines = target.read_text().splitlines()
+            if not 1 <= line <= len(lines):
+                err(f"{where}: anchor `{path}:{line}` is past the end of "
+                    f"the file ({len(lines)} lines)")
+                continue
+            name = PRECEDING_NAME.search(text, 0, m.start())
+            if not name:
+                continue
+            last = name.group(1).rpartition("::")[2]
+            lo = max(0, line - 1 - ANCHOR_SLACK)
+            window = "\n".join(lines[lo:line + ANCHOR_SLACK])
+            if last not in window:
+                err(f"{where}: anchor `{path}:{line}` for `{name.group(1)}`: "
+                    f"`{last}` is not within {ANCHOR_SLACK} lines of it")
+
+
 def main() -> int:
     check_head_ops()
     check_trace_events()
     check_header_self_containment()
     check_todo_references()
     check_tuning_knobs()
+    check_doc_anchors()
     if ERRORS:
         print(f"lint_blog: {len(ERRORS)} finding(s)", file=sys.stderr)
         return 1
