@@ -4,10 +4,11 @@
 /// A Kleene iteration over the clause database: every predicate starts at
 /// Bottom ("no successful derivation seen"); each round simulates every
 /// clause body left to right, growing the set of provably ground clause
-/// variables from the current success patterns of the callees (builtins
-/// contribute their axiomatized effects — `is/2` grounds both sides on
-/// success, comparisons ground their operands, `==/2` grounds nothing),
-/// and joins the resulting head patterns per predicate. Inputs only ever
+/// variables from the current success patterns of the callees (a builtin
+/// contributes the axiom column of its `BLOG_BUILTINS` row in
+/// engine/builtins.hpp — `is/2` grounds both sides on success, comparisons
+/// ground their operands, `==/2` grounds nothing), and joins the resulting
+/// head patterns per predicate. Inputs only ever
 /// ascend the lattice, so the recomputation is monotone and the fixpoint
 /// is reached in a bounded number of rounds.
 #pragma once

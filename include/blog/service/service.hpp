@@ -282,8 +282,10 @@ public:
   [[nodiscard]] db::WeightStore& weights() { return weights_; }
   [[nodiscard]] engine::StandardBuiltins& builtins() { return builtins_; }
 
-  /// Canonical cache key of a query: parse + re-render, so formatting
-  /// variants of the same goal share one entry. Throws term::ParseError.
+  /// Canonical cache key of a query: parse + re-render as quoted text that
+  /// reads back as the same goals and answer template, so formatting
+  /// variants of a query share one entry and different queries never do.
+  /// Throws term::ParseError.
   [[nodiscard]] static std::string canonical_key(std::string_view text);
 
   struct Stats {

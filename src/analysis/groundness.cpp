@@ -3,63 +3,11 @@
 #include <algorithm>
 
 #include "blog/db/program.hpp"
+#include "blog/engine/builtins.hpp"
 #include "blog/term/unify.hpp"
 
 namespace blog::analysis {
 namespace {
-
-/// Axiomatized success effect of a builtin goal on the ground-variable
-/// set. Mirrors engine::StandardBuiltins; an unlisted predicate is not a
-/// builtin here and resolves against the clause database instead.
-enum class BuiltinKind {
-  NotBuiltin,
-  True,         ///< true/0 — succeeds, grounds nothing
-  Fail,         ///< fail/0 — never succeeds
-  Unify,        ///< =/2 — a ground side grounds the other
-  Eval,         ///< is/2, arithmetic comparisons — grounds the operands
-  TypeGround,   ///< integer/1, atom/1, ground/1 — success implies ground
-  NoEffect,     ///< ==/2, \==/2, \=/2, var/1, nonvar/1 — grounds nothing
-};
-
-struct BuiltinTable {
-  std::unordered_map<std::uint64_t, BuiltinKind> map;
-
-  static std::uint64_t key(Symbol name, std::uint32_t arity) {
-    return (static_cast<std::uint64_t>(name.id()) << 32) | arity;
-  }
-  void add(std::string_view name, std::uint32_t arity, BuiltinKind k) {
-    map.emplace(key(intern(name), arity), k);
-  }
-  BuiltinTable() {
-    add("true", 0, BuiltinKind::True);
-    add("fail", 0, BuiltinKind::Fail);
-    add("=", 2, BuiltinKind::Unify);
-    add("is", 2, BuiltinKind::Eval);
-    add("<", 2, BuiltinKind::Eval);
-    add(">", 2, BuiltinKind::Eval);
-    add("=<", 2, BuiltinKind::Eval);
-    add(">=", 2, BuiltinKind::Eval);
-    add("=:=", 2, BuiltinKind::Eval);
-    add("=\\=", 2, BuiltinKind::Eval);
-    add("integer", 1, BuiltinKind::TypeGround);
-    add("atom", 1, BuiltinKind::TypeGround);
-    add("ground", 1, BuiltinKind::TypeGround);
-    add("==", 2, BuiltinKind::NoEffect);
-    add("\\==", 2, BuiltinKind::NoEffect);
-    add("\\=", 2, BuiltinKind::NoEffect);
-    add("var", 1, BuiltinKind::NoEffect);
-    add("nonvar", 1, BuiltinKind::NoEffect);
-  }
-  [[nodiscard]] BuiltinKind kind(const db::Pred& p) const {
-    const auto it = map.find(key(p.name, p.arity));
-    return it == map.end() ? BuiltinKind::NotBuiltin : it->second;
-  }
-};
-
-const BuiltinTable& builtins() {
-  static const BuiltinTable t;
-  return t;
-}
 
 using VarSet = std::unordered_set<term::TermRef>;
 
@@ -83,38 +31,38 @@ bool simulate_goal(const term::Store& s, term::TermRef goal,
   const db::Pred p = db::pred_of(s, goal);
   std::vector<term::TermRef> va;
   std::vector<term::TermRef> vb;
-  switch (builtins().kind(p)) {
-    case BuiltinKind::True:
-    case BuiltinKind::NoEffect:
-      return true;
-    case BuiltinKind::Fail:
-      return false;
-    case BuiltinKind::Unify: {
-      term::collect_vars(s, s.arg(goal, 0), va);
-      term::collect_vars(s, s.arg(goal, 1), vb);
-      // Both subset tests read the pre-goal state; grounding one side from
-      // the other is only sound when that other side was already ground.
-      const bool lg = subset_of(va, g);
-      const bool rg = subset_of(vb, g);
-      if (lg) add_all(vb, g);
-      if (rg) add_all(va, g);
-      return true;
-    }
-    case BuiltinKind::Eval:
-      // Arithmetic evaluation/comparison succeeds only over fully ground
-      // numeric operands, so success grounds every variable in them.
-      for (std::uint32_t i = 0; i < s.arity(goal); ++i) {
-        va.clear();
-        term::collect_vars(s, s.arg(goal, i), va);
-        add_all(va, g);
+  // A builtin's success effect is its BLOG_BUILTINS axiom.
+  if (const auto id = engine::find_builtin(p)) {
+    switch (engine::builtin_row(*id).axiom) {
+      case engine::BuiltinAxiom::True:
+      case engine::BuiltinAxiom::NoEffect:
+        return true;
+      case engine::BuiltinAxiom::Fail:
+        return false;
+      case engine::BuiltinAxiom::Unify: {
+        term::collect_vars(s, s.arg(goal, 0), va);
+        term::collect_vars(s, s.arg(goal, 1), vb);
+        // Both subset tests read the pre-goal state; grounding one side
+        // from the other is only sound when that other side was already
+        // ground.
+        const bool lg = subset_of(va, g);
+        const bool rg = subset_of(vb, g);
+        if (lg) add_all(vb, g);
+        if (rg) add_all(va, g);
+        return true;
       }
-      return true;
-    case BuiltinKind::TypeGround:
-      term::collect_vars(s, s.arg(goal, 0), va);
-      add_all(va, g);
-      return true;
-    case BuiltinKind::NotBuiltin:
-      break;
+      case engine::BuiltinAxiom::Eval:
+      case engine::BuiltinAxiom::TypeGround:
+        // Success implies every operand is ground: arithmetic evaluates
+        // only fully ground numeric operands, and the type tests hold only
+        // for ground arguments.
+        for (std::uint32_t i = 0; i < s.arity(goal); ++i) {
+          va.clear();
+          term::collect_vars(s, s.arg(goal, i), va);
+          add_all(va, g);
+        }
+        return true;
+    }
   }
   // User predicate: its current success pattern grounds the matching
   // argument positions. A predicate with no clauses, or one still at

@@ -1,5 +1,8 @@
 #include "blog/engine/builtins.hpp"
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <limits>
 
 namespace blog::engine {
@@ -68,79 +71,92 @@ std::optional<std::int64_t> eval_arith(const term::Store& s, term::TermRef t) {
   return std::nullopt;
 }
 
-StandardBuiltins::StandardBuiltins()
-    : true_(intern("true")), fail_(intern("fail")), unify_(intern("=")),
-      nunify_(intern("\\=")), eq_(intern("==")), neq_(intern("\\==")),
-      is_(intern("is")), lt_(intern("<")), gt_(intern(">")), le_(intern("=<")),
-      ge_(intern(">=")), aeq_(intern("=:=")), ane_(intern("=\\=")),
-      var_(intern("var")), nonvar_(intern("nonvar")), atom_(intern("atom")),
-      integer_(intern("integer")), ground_(intern("ground")) {}
+namespace {
 
-bool StandardBuiltins::is_builtin(const db::Pred& p) const {
-  if (p.arity == 0) return p.name == true_ || p.name == fail_;
-  if (p.arity == 1) {
-    return p.name == var_ || p.name == nonvar_ || p.name == atom_ ||
-           p.name == integer_ || p.name == ground_;
+constexpr std::uint32_t kMaxBuiltinArity = [] {
+  std::uint32_t m = 0;
+  for (const BuiltinRow& row : kBuiltins) m = std::max(m, row.arity);
+  return m;
+}();
+
+/// The `BLOG_BUILTINS` rows grouped by arity, names interned: a lookup
+/// compares only the names of rows with the goal's arity.
+struct BuiltinIndex {
+  struct Entry {
+    Symbol name;
+    BuiltinId id;
+  };
+  std::array<std::array<Entry, std::size(kBuiltins)>, kMaxBuiltinArity + 1> rows{};
+  std::array<std::size_t, kMaxBuiltinArity + 1> count{};
+
+  BuiltinIndex() {
+    for (std::size_t i = 0; i < std::size(kBuiltins); ++i) {
+      const std::uint32_t a = kBuiltins[i].arity;
+      rows[a][count[a]++] = {intern(kBuiltins[i].name), static_cast<BuiltinId>(i)};
+    }
   }
-  if (p.arity == 2) {
-    return p.name == unify_ || p.name == nunify_ || p.name == eq_ ||
-           p.name == neq_ || p.name == is_ || p.name == lt_ || p.name == gt_ ||
-           p.name == le_ || p.name == ge_ || p.name == aeq_ || p.name == ane_;
-  }
-  return false;
+};
+
+/// An arithmetic comparison: both sides must evaluate.
+template <class Cmp>
+search::BuiltinEvaluator::Outcome arith_compare(const term::Store& s,
+                                                term::TermRef goal, Cmp cmp) {
+  const auto a = eval_arith(s, s.arg(goal, 0));
+  const auto b = eval_arith(s, s.arg(goal, 1));
+  return a && b && cmp(*a, *b) ? search::BuiltinEvaluator::Outcome::True
+                               : search::BuiltinEvaluator::Outcome::Fail;
+}
+
+}  // namespace
+
+std::optional<BuiltinId> find_builtin(const db::Pred& p) {
+  static const BuiltinIndex index;
+  if (p.arity > kMaxBuiltinArity) return std::nullopt;
+  const auto& rows = index.rows[p.arity];
+  for (std::size_t i = 0; i < index.count[p.arity]; ++i)
+    if (rows[i].name == p.name) return rows[i].id;
+  return std::nullopt;
 }
 
 StandardBuiltins::Outcome StandardBuiltins::eval(term::Store& s, term::TermRef goal,
                                                  term::Trail& trail) {
   goal = s.deref(goal);
-  const db::Pred p = db::pred_of(s, goal);
-  if (!is_builtin(p)) return Outcome::NotBuiltin;
+  const std::optional<BuiltinId> id = find_builtin(db::pred_of(s, goal));
+  if (!id) return Outcome::NotBuiltin;
 
   auto truth = [](bool b) { return b ? Outcome::True : Outcome::Fail; };
+  auto arg = [&](std::uint32_t i) { return s.deref(s.arg(goal, i)); };
 
-  if (p.arity == 0) return truth(p.name == true_);
-
-  if (p.arity == 1) {
-    const term::TermRef a = s.deref(s.arg(goal, 0));
-    if (p.name == var_) return truth(s.is_var(a));
-    if (p.name == nonvar_) return truth(!s.is_var(a));
-    if (p.name == atom_) return truth(s.is_atom(a));
-    if (p.name == integer_) return truth(s.is_int(a));
-    if (p.name == ground_) return truth(term::is_ground(s, a));
-    return Outcome::Fail;
+  switch (*id) {
+    case BuiltinId::kTrue: return Outcome::True;
+    case BuiltinId::kFail: return Outcome::Fail;
+    case BuiltinId::kUnify: return truth(term::unify(s, arg(0), arg(1), trail));
+    case BuiltinId::kNotUnifiable: {
+      // Negation as failure of unification; sound for ground pairs, the
+      // usual Prolog caveat applies otherwise.
+      const std::size_t mark = trail.mark();
+      const bool ok = term::unify(s, arg(0), arg(1), trail);
+      trail.undo_to(mark, s);
+      return truth(!ok);
+    }
+    case BuiltinId::kIdentical: return truth(term::Store::equal(s, arg(0), s, arg(1)));
+    case BuiltinId::kNotIdentical: return truth(!term::Store::equal(s, arg(0), s, arg(1)));
+    case BuiltinId::kIs: {
+      const auto v = eval_arith(s, arg(1));
+      return truth(v && term::unify(s, arg(0), s.make_int(*v), trail));
+    }
+    case BuiltinId::kLess: return arith_compare(s, goal, std::less<>{});
+    case BuiltinId::kGreater: return arith_compare(s, goal, std::greater<>{});
+    case BuiltinId::kLessEq: return arith_compare(s, goal, std::less_equal<>{});
+    case BuiltinId::kGreaterEq: return arith_compare(s, goal, std::greater_equal<>{});
+    case BuiltinId::kArithEq: return arith_compare(s, goal, std::equal_to<>{});
+    case BuiltinId::kArithNe: return arith_compare(s, goal, std::not_equal_to<>{});
+    case BuiltinId::kVar: return truth(s.is_var(arg(0)));
+    case BuiltinId::kNonvar: return truth(!s.is_var(arg(0)));
+    case BuiltinId::kAtom: return truth(s.is_atom(arg(0)));
+    case BuiltinId::kInteger: return truth(s.is_int(arg(0)));
+    case BuiltinId::kGround: return truth(term::is_ground(s, arg(0)));
   }
-
-  const term::TermRef a = s.arg(goal, 0);
-  const term::TermRef b = s.arg(goal, 1);
-
-  if (p.name == unify_) return truth(term::unify(s, a, b, trail));
-  if (p.name == nunify_) {
-    // Negation as failure of unification; sound for ground pairs, the usual
-    // Prolog caveat applies otherwise.
-    const std::size_t mark = trail.mark();
-    const bool ok = term::unify(s, a, b, trail);
-    trail.undo_to(mark, s);
-    return truth(!ok);
-  }
-  if (p.name == eq_) return truth(term::Store::equal(s, a, s, b));
-  if (p.name == neq_) return truth(!term::Store::equal(s, a, s, b));
-
-  if (p.name == is_) {
-    const auto v = eval_arith(s, b);
-    if (!v) return Outcome::Fail;
-    const term::TermRef lit = s.make_int(*v);
-    return truth(term::unify(s, a, lit, trail));
-  }
-
-  const auto va = eval_arith(s, a);
-  const auto vb = eval_arith(s, b);
-  if (!va || !vb) return Outcome::Fail;
-  if (p.name == lt_) return truth(*va < *vb);
-  if (p.name == gt_) return truth(*va > *vb);
-  if (p.name == le_) return truth(*va <= *vb);
-  if (p.name == ge_) return truth(*va >= *vb);
-  if (p.name == aeq_) return truth(*va == *vb);
-  if (p.name == ane_) return truth(*va != *vb);
   return Outcome::Fail;
 }
 

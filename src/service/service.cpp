@@ -47,19 +47,26 @@ struct TicketState {
 namespace {
 
 /// Render the parsed goals *and* the answer template back to text: one
-/// canonical spelling for every formatting variant of the same query. The
-/// template matters — an anonymous `_` and a user variable literally named
-/// `_G<n>` can render identically inside a goal, but they produce different
-/// answer templates (named variables are reported, anonymous ones are not),
-/// so the template keeps such queries on separate cache entries.
+/// canonical spelling for every formatting variant of the same query.
+/// Quoted text reads back as the same term, so two queries share a key
+/// only when they parse to the same goals and template (`p('Y',Y)` is not
+/// `p(Y,Y)`, `p(-(1))` is not `p(-1)`):
+///   - each goal is written as a conjunct (priority 999), so the goal text
+///     reads back as the same goal list;
+///   - anonymous variables print as `_`, exact for a query (each occurs
+///     once), so re-keying the goal text gives the same key;
+///   - ` $ ` separates the template; `$` never appears outside quotes in
+///     quoted text, so the first such split is the only one;
+///   - the template names the variables each answer reports.
 std::string canonical_from(const search::Query& q) {
+  constexpr term::WriteOptions kKeyText{.quoted = true, .number_vars = false};
   std::string key;
   for (std::size_t i = 0; i < q.goals.size(); ++i) {
     if (i > 0) key += ',';
-    key += term::to_string(q.store, q.goals[i]);
+    term::write_term(key, q.store, q.goals[i], kKeyText, 999);
   }
-  key += " ? ";
-  if (q.answer != term::kNullTerm) key += term::to_string(q.store, q.answer);
+  key += " $ ";
+  if (q.answer != term::kNullTerm) term::write_term(key, q.store, q.answer, kKeyText);
   return key;
 }
 

@@ -1,55 +1,19 @@
 #include "blog/term/reader.hpp"
 
-#include <array>
 #include <cctype>
+#include <limits>
+
+#include "blog/term/ops.hpp"
 
 namespace blog::term {
 namespace {
 
-// Operator table (Edinburgh subset). `xfx/xfy/yfx` encoded through the
-// argument precedences.
-enum class OpType { xfx, xfy, yfx, fy, fx };
-
-struct OpDef {
-  int prec;
-  OpType type;
-};
-
-const std::unordered_map<std::string, OpDef>& infix_ops() {
-  static const auto* t = new std::unordered_map<std::string, OpDef>{
-      {":-", {1200, OpType::xfx}}, {"?-", {1200, OpType::fx}},
-      {";", {1100, OpType::xfy}},  {"->", {1050, OpType::xfy}},
-      {",", {1000, OpType::xfy}},  {"=", {700, OpType::xfx}},
-      {"\\=", {700, OpType::xfx}}, {"==", {700, OpType::xfx}},
-      {"\\==", {700, OpType::xfx}}, {"is", {700, OpType::xfx}},
-      {"<", {700, OpType::xfx}},   {">", {700, OpType::xfx}},
-      {"=<", {700, OpType::xfx}},  {">=", {700, OpType::xfx}},
-      {"=:=", {700, OpType::xfx}}, {"=\\=", {700, OpType::xfx}},
-      {"@<", {700, OpType::xfx}},  {"@>", {700, OpType::xfx}},
-      {"+", {500, OpType::yfx}},   {"-", {500, OpType::yfx}},
-      {"*", {400, OpType::yfx}},   {"//", {400, OpType::yfx}},
-      {"/", {400, OpType::yfx}},   {"mod", {400, OpType::yfx}},
-  };
-  return *t;
-}
-
-const std::unordered_map<std::string, OpDef>& prefix_ops() {
-  static const auto* t = new std::unordered_map<std::string, OpDef>{
-      {"-", {200, OpType::fy}},
-      {"+", {200, OpType::fy}},
-      {"\\+", {900, OpType::fy}},
-      {"?-", {1200, OpType::fx}},
-      {":-", {1200, OpType::fx}},
-  };
-  return *t;
-}
-
-bool is_symbol_char(char c) {
-  static constexpr std::string_view kSyms = "+-*/\\^<>=~:.?@#&";
-  return kSyms.find(c) != std::string_view::npos;
-}
-
 bool is_solo(char c) { return c == ',' || c == ';' || c == '!' || c == '|'; }
+
+// Largest magnitude of an integer token: |INT64_MIN|, legal only right
+// after a prefix `-`.
+constexpr std::uint64_t kMaxIntMagnitude =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + 1;
 
 }  // namespace
 
@@ -57,8 +21,16 @@ Reader::Reader(std::string_view text, Store& store) : text_(text), store_(store)
   advance();
 }
 
-void Reader::fail(const std::string& msg) const {
-  throw ParseError(msg, tok_.line, tok_.col);
+void Reader::fail(std::string_view msg) const {
+  throw ParseError(std::string(msg), tok_.line, tok_.col);
+}
+
+void Reader::fail_unexpected() const {
+  fail("unexpected '" + tok_.text + "'");
+}
+
+void Reader::fail_too_deep() const {
+  fail("term nested deeper than " + std::to_string(kMaxReadDepth) + " levels");
 }
 
 void Reader::advance() {
@@ -120,9 +92,11 @@ void Reader::advance() {
 
   if (std::isdigit(static_cast<unsigned char>(c))) {
     std::size_t end = pos_;
-    std::int64_t v = 0;
+    std::uint64_t v = 0;
     while (end < text_.size() && std::isdigit(static_cast<unsigned char>(text_[end]))) {
-      v = v * 10 + (text_[end] - '0');
+      const auto digit = static_cast<std::uint64_t>(text_[end] - '0');
+      if (v > (kMaxIntMagnitude - digit) / 10) fail("integer literal out of range");
+      v = v * 10 + digit;
       ++end;
     }
     tok_.kind = Token::Kind::Int;
@@ -207,102 +181,134 @@ void Reader::advance() {
   fail(std::string("unexpected character '") + c + "'");
 }
 
-Reader::Token Reader::take() {
-  Token t = tok_;
-  advance();
-  return t;
+bool Reader::at_punct(char c) const {
+  return tok_.kind == Token::Kind::Punct && tok_.text[0] == c;
 }
 
-TermRef Reader::var_for(const Token& tok) {
-  if (tok.text == "_") return store_.make_var(intern("_"));
-  if (auto it = var_names_.find(tok.text); it != var_names_.end()) return it->second;
-  const Symbol name = intern(tok.text);
-  const TermRef v = store_.make_var(name);
-  var_names_.emplace(tok.text, v);
-  var_order_.emplace_back(name, v);
+bool Reader::at_comma() const {
+  return tok_.kind == Token::Kind::Atom && tok_.text == ",";
+}
+
+void Reader::expect(char close, std::string_view msg) {
+  if (!at_punct(close)) fail(msg);
+  advance();
+}
+
+// The descent keeps its frames small so kMaxReadDepth levels fit in a
+// thread's stack: no token copies, no per-compound vectors (arguments
+// collect on `args_`), no addressable locals, and error text built only in
+// cold helpers.
+
+TermRef Reader::var_for(const std::string& name) {
+  if (name == "_") return store_.make_var(intern("_"));
+  if (auto it = var_names_.find(name); it != var_names_.end()) return it->second;
+  const Symbol sym = intern(name);
+  const TermRef v = store_.make_var(sym);
+  var_names_.emplace(name, v);
+  var_order_.emplace_back(sym, v);
   return v;
+}
+
+Reader::AtomToken Reader::take_atom() {
+  const AtomToken a{intern(tok_.text), find_operator(tok_.text, /*prefix=*/true),
+                    tok_.text == "-"};
+  advance();
+  return a;
+}
+
+void Reader::push_arg(TermRef t) { args_.push_back(t); }
+
+TermRef Reader::build(Symbol name, std::size_t base) {
+  const TermRef t = store_.make_struct(name, std::span(args_).subspan(base));
+  args_.resize(base);
+  return t;
 }
 
 TermRef Reader::parse_list() {
   // '[' already consumed.
-  if (peek().kind == Token::Kind::Punct && peek().text == "]") {
-    take();
+  if (at_punct(']')) {
+    advance();
     return store_.make_atom(nil_symbol());
   }
-  std::vector<TermRef> items;
-  items.push_back(parse(999));
-  while (peek().kind == Token::Kind::Atom && peek().text == ",") {
-    take();
-    items.push_back(parse(999));
+  const std::size_t base = args_.size();
+  push_arg(parse(999));
+  while (at_comma()) {
+    advance();
+    push_arg(parse(999));
   }
   TermRef tail = kNullTerm;
-  if (peek().kind == Token::Kind::Punct && peek().text == "|") {
-    take();
+  if (at_punct('|')) {
+    advance();
     tail = parse(999);
   }
-  if (!(peek().kind == Token::Kind::Punct && peek().text == "]"))
-    fail("expected ']' in list");
-  take();
-  return store_.make_list(items, tail);
+  expect(']', "expected ']' in list");
+  const TermRef list = store_.make_list(std::span(args_).subspan(base), tail);
+  args_.resize(base);
+  return list;
 }
 
-TermRef Reader::parse_args_or_atom(const Token& name) {
-  // A compound only when '(' immediately follows (no layout between was not
-  // tracked; acceptable for our workloads).
-  if (peek().kind == Token::Kind::Punct && peek().text == "(") {
-    take();
-    std::vector<TermRef> args;
-    args.push_back(parse(999));
-    while (peek().kind == Token::Kind::Atom && peek().text == ",") {
-      take();
-      args.push_back(parse(999));
-    }
-    if (!(peek().kind == Token::Kind::Punct && peek().text == ")"))
-      fail("expected ')' after arguments");
-    take();
-    return store_.make_struct(intern(name.text), args);
+TermRef Reader::parse_args(Symbol name) {
+  // '(' already consumed (no layout between the name and '(' is tracked).
+  const std::size_t base = args_.size();
+  push_arg(parse(999));
+  while (at_comma()) {
+    advance();
+    push_arg(parse(999));
   }
-  return store_.make_atom(intern(name.text));
+  expect(')', "expected ')' after arguments");
+  return build(name, base);
 }
 
 TermRef Reader::parse_primary(int max_prec) {
-  const Token t = take();
-  switch (t.kind) {
-    case Token::Kind::Int:
-      return store_.make_int(t.value);
-    case Token::Kind::Var:
-      return var_for(t);
+  switch (tok_.kind) {
+    case Token::Kind::Int: {
+      const std::uint64_t v = tok_.value;
+      if (v > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()))
+        fail("integer literal out of range");
+      advance();
+      return store_.make_int(static_cast<std::int64_t>(v));
+    }
+    case Token::Kind::Var: {
+      const TermRef v = var_for(tok_.text);
+      advance();
+      return v;
+    }
     case Token::Kind::Punct:
-      if (t.text == "(") {
+      if (at_punct('(')) {
+        advance();
         const TermRef inner = parse(1200);
-        if (!(peek().kind == Token::Kind::Punct && peek().text == ")"))
-          fail("expected ')'");
-        take();
+        expect(')', "expected ')'");
         return inner;
       }
-      if (t.text == "[") return parse_list();
-      fail("unexpected '" + t.text + "'");
-    case Token::Kind::Atom: {
-      // Prefix operator? Only when a term can follow.
-      if (auto it = prefix_ops().find(t.text); it != prefix_ops().end()) {
-        const auto& [prec, type] = it->second;
-        const bool followable =
-            peek().kind == Token::Kind::Int || peek().kind == Token::Kind::Var ||
-            (peek().kind == Token::Kind::Atom && peek().text != ",") ||
-            (peek().kind == Token::Kind::Punct &&
-             (peek().text == "(" || peek().text == "["));
-        // `- 3` folds to a negative literal; `-(a,b)` parses as a struct.
-        if (followable && prec <= max_prec &&
-            !(peek().kind == Token::Kind::Punct && peek().text == "(")) {
-          const int sub = type == OpType::fy ? prec : prec - 1;
-          const TermRef arg = parse(sub);
-          if (t.text == "-" && store_.is_int(store_.deref(arg)))
-            return store_.make_int(-store_.int_value(store_.deref(arg)));
-          const TermRef args[1] = {arg};
-          return store_.make_struct(intern(t.text), args);
-        }
+      if (at_punct('[')) {
+        advance();
+        return parse_list();
       }
-      return parse_args_or_atom(t);
+      fail_unexpected();
+    case Token::Kind::Atom: {
+      const AtomToken a = take_atom();
+      // A prefix operator applies only when a term follows it; before `(`
+      // the name is a functor in functional notation (`-(1)`, `-(a,b)`).
+      const bool operand_follows =
+          tok_.kind == Token::Kind::Int || tok_.kind == Token::Kind::Var ||
+          (tok_.kind == Token::Kind::Atom && !at_comma()) || at_punct('[');
+      if (a.prefix_op != nullptr && operand_follows && a.prefix_op->priority <= max_prec) {
+        // `-` directly before a number is a negative literal (`- 3`, and
+        // `-9223372036854775808`, the one literal with no positive twin).
+        if (a.minus && tok_.kind == Token::Kind::Int) {
+          const std::uint64_t v = tok_.value;
+          advance();
+          return store_.make_int(static_cast<std::int64_t>(0 - v));
+        }
+        const std::size_t base = args_.size();
+        push_arg(parse(a.prefix_op->right_max()));
+        return build(a.name, base);
+      }
+      if (at_punct('(')) {
+        advance();
+        return parse_args(a.name);
+      }
+      return store_.make_atom(a.name);
     }
     case Token::Kind::End:
     case Token::Kind::Eof:
@@ -311,35 +317,44 @@ TermRef Reader::parse_primary(int max_prec) {
   fail("unreachable");
 }
 
+const OpDef* Reader::infix_at(int max_prec, int left_prec) const {
+  if (tok_.kind != Token::Kind::Atom) return nullptr;
+  const OpDef* op = find_operator(tok_.text, /*prefix=*/false);
+  if (op == nullptr || op->priority > max_prec || left_prec > op->left_max()) return nullptr;
+  return op;
+}
+
+TermRef Reader::parse_infix(const OpDef& op, TermRef left) {
+  const Symbol name = intern(tok_.text);
+  advance();
+  const std::size_t base = args_.size();
+  push_arg(left);
+  push_arg(parse(op.right_max()));
+  return build(name, base);
+}
+
 TermRef Reader::parse(int max_prec) {
+  if (++depth_ > kMaxReadDepth) fail_too_deep();
   TermRef left = parse_primary(max_prec);
   int left_prec = 0;
-  for (;;) {
-    if (peek().kind != Token::Kind::Atom) break;
-    auto it = infix_ops().find(peek().text);
-    if (it == infix_ops().end()) break;
-    const auto& [prec, type] = it->second;
-    if (prec > max_prec) break;
-    const int lmax = type == OpType::yfx ? prec : prec - 1;
-    const int rmax = type == OpType::xfy ? prec : prec - 1;
-    if (left_prec > lmax) break;
-    const Token op = take();
-    const TermRef right = parse(rmax);
-    const TermRef args[2] = {left, right};
-    left = store_.make_struct(intern(op.text), args);
-    left_prec = prec;
+  while (const OpDef* op = infix_at(max_prec, left_prec)) {
+    left = parse_infix(*op, left);
+    left_prec = op->priority;
   }
+  --depth_;
   return left;
 }
 
 std::optional<ReadTerm> Reader::next() {
+  depth_ = 0;
+  args_.clear();
   var_names_.clear();
   var_order_.clear();
-  if (peek().kind == Token::Kind::Eof) return std::nullopt;
+  if (tok_.kind == Token::Kind::Eof) return std::nullopt;
   ReadTerm out;
   out.term = parse(1200);
-  if (peek().kind != Token::Kind::End) fail("expected '.' at end of clause");
-  take();
+  if (tok_.kind != Token::Kind::End) fail("expected '.' at end of clause");
+  advance();
   out.variables = var_order_;
   return out;
 }

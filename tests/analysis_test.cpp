@@ -12,7 +12,9 @@
 #include "blog/analysis/independence.hpp"
 #include "blog/andp/independence.hpp"
 #include "blog/engine/interpreter.hpp"
+#include "blog/support/rng.hpp"
 #include "blog/term/reader.hpp"
+#include "blog/term/writer.hpp"
 
 namespace blog::analysis {
 namespace {
@@ -320,6 +322,92 @@ TEST(StaticVerdict, PropertyStaticNeverContradictsRuntimeScan) {
     else if (verdict == Indep::Dependent)
       EXPECT_TRUE(shares) << text;
     // Unknown: either is fine — that is the point of the verdict.
+  }
+}
+
+// ------------------------- property: builtins never contradict their axiom --
+
+/// A random builtin argument: small integers, atoms, fresh or shared
+/// variables, arithmetic expressions and other compounds.
+term::TermRef random_arg(Rng& rng, term::Store& s, std::vector<term::TermRef>& vars,
+                         int depth) {
+  switch (rng.below(depth > 0 ? 6 : 3)) {
+    case 0:
+      return s.make_int(rng.range(-5, 5));
+    case 1:
+      return s.make_atom(rng.chance(0.5) ? "a" : "b");
+    case 2:
+      if (!vars.empty() && rng.chance(0.5)) return vars[rng.below(vars.size())];
+      vars.push_back(s.make_var());
+      return vars.back();
+    case 3:
+    case 4: {
+      static constexpr const char* kBinary[] = {"+", "-", "*", "//", "mod", "min", "max"};
+      if (rng.chance(0.2)) {
+        const term::TermRef a[1] = {random_arg(rng, s, vars, depth - 1)};
+        return s.make_struct(intern(rng.chance(0.5) ? "-" : "abs"), a);
+      }
+      const term::TermRef a[2] = {random_arg(rng, s, vars, depth - 1),
+                                  random_arg(rng, s, vars, depth - 1)};
+      return s.make_struct(intern(kBinary[rng.below(std::size(kBinary))]), a);
+    }
+    default: {
+      const term::TermRef a[2] = {random_arg(rng, s, vars, depth - 1),
+                                  random_arg(rng, s, vars, depth - 1)};
+      return rng.chance(0.5) ? s.make_struct(intern("f"), a) : s.make_list(a);
+    }
+  }
+}
+
+TEST(BuiltinAxioms, RuntimeSuccessNeverContradictsTheAxiom) {
+  // Every BLOG_BUILTINS row on 200 random argument tuples. The groundness
+  // analysis simulates a builtin by its axiom alone, so whenever the
+  // evaluator succeeds: Eval and TypeGround rows leave every argument
+  // ground, a Unify row grounds a side whose partner was ground before
+  // the call, and a Fail row never succeeds at all.
+  using engine::BuiltinAxiom;
+  engine::StandardBuiltins builtins;
+  Rng rng(17);
+  for (std::size_t row = 0; row < std::size(engine::kBuiltins); ++row) {
+    const engine::BuiltinRow& b = engine::kBuiltins[row];
+    int successes = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      term::Store s;
+      term::Trail trail;
+      std::vector<term::TermRef> vars;
+      std::vector<term::TermRef> args;
+      for (std::uint32_t i = 0; i < b.arity; ++i)
+        args.push_back(i > 0 && rng.chance(0.2) ? args[0] : random_arg(rng, s, vars, 2));
+      const term::TermRef goal = b.arity == 0 ? s.make_atom(intern(b.name))
+                                              : s.make_struct(intern(b.name), args);
+      std::vector<bool> was_ground;
+      for (const term::TermRef a : args) was_ground.push_back(term::is_ground(s, a));
+      const std::string text = term::to_string(s, goal);
+
+      const auto outcome = builtins.eval(s, goal, trail);
+      ASSERT_NE(outcome, search::BuiltinEvaluator::Outcome::NotBuiltin) << text;
+      if (outcome != search::BuiltinEvaluator::Outcome::True) continue;
+      ++successes;
+      switch (b.axiom) {
+        case BuiltinAxiom::Fail:
+          ADD_FAILURE() << text << " succeeded";
+          break;
+        case BuiltinAxiom::Eval:
+        case BuiltinAxiom::TypeGround:
+          for (const term::TermRef a : args)
+            EXPECT_TRUE(term::is_ground(s, a)) << text;
+          break;
+        case BuiltinAxiom::Unify:
+          EXPECT_TRUE(!was_ground[0] || term::is_ground(s, args[1])) << text;
+          EXPECT_TRUE(!was_ground[1] || term::is_ground(s, args[0])) << text;
+          break;
+        case BuiltinAxiom::True:
+        case BuiltinAxiom::NoEffect:
+          break;
+      }
+    }
+    // Every row but `fail` must have been exercised on a success.
+    EXPECT_TRUE(b.axiom == BuiltinAxiom::Fail || successes > 0) << b.name;
   }
 }
 

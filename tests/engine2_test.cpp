@@ -149,8 +149,9 @@ TEST(ClassicPrograms, MiniZebraStylePuzzle) {
 TEST(ArithEdge, NegativeNumbersFlowThrough) {
   Interpreter ip;
   ip.consult_string("neg(X,Y) :- Y is 0-X.");
+  // `=-` would glue into one token, so the writer separates them.
   EXPECT_EQ(solution_texts(ip.solve("neg(5,Y)")),
-            (std::vector<std::string>{"Y=-5"}));
+            (std::vector<std::string>{"Y= -5"}));
   EXPECT_EQ(solution_texts(ip.solve("neg(-7,Y)")),
             (std::vector<std::string>{"Y=7"}));
 }

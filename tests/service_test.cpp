@@ -13,6 +13,7 @@
 #include "blog/service/service.hpp"
 #include "blog/term/reader.hpp"
 #include "blog/workloads/workloads.hpp"
+#include "term_corpus.hpp"
 
 using namespace blog;
 using service::QueryBudget;
@@ -152,6 +153,101 @@ TEST(ServiceCache, LruEvictsAtCapacity) {
   EXPECT_FALSE(svc.query("f(X,Y)").from_cache);
   const auto cs = svc.stats().cache;
   EXPECT_EQ(cs.evictions, 2u);  // h evicted f, re-inserted f evicted g
+}
+
+TEST(ServiceCache, KeysDoNotAliasDistinctQueries) {
+  // Each pair once shared a key, so whichever ran second was answered from
+  // the other's cache entry: `-(1)` rendered like the integer -1, and the
+  // atom 'Y' like the variable Y. Keys are now quoted text that reads back.
+  struct Case {
+    const char* text;
+    std::vector<std::string> answers;
+  };
+  const std::string program = "p(-1,int). p(-(1),struct). q('Y',1). q(2,2).";
+  const std::pair<Case, Case> pairs[] = {
+      {{"p(-(1),K)", {"K=struct"}}, {"p(-1,K)", {"K=int"}}},
+      {{"q('Y',Y)", {"Y=1"}}, {"q(Y,Y)", {"Y=2"}}},
+  };
+  for (const auto& [a, b] : pairs) {
+    EXPECT_NE(QueryService::canonical_key(a.text), QueryService::canonical_key(b.text));
+    for (const bool a_first : {true, false}) {
+      QueryService svc;
+      svc.consult(program);
+      const Case& first = a_first ? a : b;
+      const Case& second = a_first ? b : a;
+      EXPECT_EQ(svc.query(first.text).answers, first.answers) << first.text;
+      const auto r = svc.query(second.text);
+      EXPECT_FALSE(r.from_cache) << second.text;
+      EXPECT_EQ(r.answers, second.answers) << second.text;
+      EXPECT_TRUE(svc.query(first.text).from_cache) << first.text;
+    }
+  }
+}
+
+TEST(ServiceCache, KeyGoalTextRekeysToTheSameKey) {
+  // The goals part of a key is itself a query text for the same goals and
+  // template (` $ ` never occurs outside quotes in quoted text).
+  std::vector<std::string> corpus(std::begin(test::kFixpointCorpus),
+                                  std::end(test::kFixpointCorpus));
+  for (const auto& probe : test::kOperatorProbes) corpus.emplace_back(probe.text);
+  for (const char* q : {"p('Y',Y)", "p(-(1),K)", "p(_,X), q(X,_)", "(a;b), c", "a;(b,c)",
+                        "X = 'it''s', Y = '.'", "\\+ p(X), X \\== 1"})
+    corpus.emplace_back(q);
+  for (const std::string& text : corpus) {
+    const std::string key = QueryService::canonical_key(text);
+    const std::size_t split = key.find(" $ ");
+    ASSERT_NE(split, std::string::npos) << key;
+    EXPECT_EQ(QueryService::canonical_key(key.substr(0, split)), key) << text;
+  }
+  // Conjunct grouping stays in the key: `;` binds looser than `,`.
+  EXPECT_NE(QueryService::canonical_key("(a;b), c"), QueryService::canonical_key("a;(b,c)"));
+}
+
+// ------------------------------------------------------ hostile input --
+
+TEST(ServiceLimits, NestingAtTheReaderLimitIsServedOnePastIsAParseError) {
+  // `X = f(...f(a)...)`: the reader takes the whole query at depth 1, the
+  // right side of `=` at depth 2, and each argument one level deeper.
+  auto nested = [](int depth) {
+    const auto n = static_cast<std::size_t>(depth - 2);
+    std::string text = "X = ";
+    for (std::size_t i = 0; i < n; ++i) text += "f(";
+    return text + "a" + std::string(n, ')');
+  };
+  QueryService svc;
+  svc.consult("p.");
+  QueryRequest at;
+  at.text = nested(term::kMaxReadDepth);
+  const auto ok = svc.submit(at).wait();
+  EXPECT_EQ(ok.status, QueryStatus::Ok) << ok.error;
+  ASSERT_EQ(ok.answers.size(), 1u);
+  EXPECT_EQ(ok.answers[0].size(), at.text.size() - 2);  // "X = " less its spaces
+
+  QueryRequest past;
+  past.text = nested(term::kMaxReadDepth + 1);
+  const auto rejected = svc.submit(past).wait();
+  EXPECT_EQ(rejected.status, QueryStatus::ParseError);
+  EXPECT_NE(rejected.error.find("nested deeper"), std::string::npos) << rejected.error;
+}
+
+TEST(ServiceLimits, IntegersReadBackOverTheWholeInt64Range) {
+  QueryService svc;
+  svc.consult("p.");
+  for (const char* text : {"X = 99999999999999999999", "X = 9223372036854775808"}) {
+    QueryRequest req;
+    req.text = text;
+    EXPECT_EQ(svc.submit(req).wait().status, QueryStatus::ParseError) << text;
+  }
+  // Both ends of the range print as text that reads back, even as operands.
+  QueryRequest req;
+  req.text = "X = -9223372036854775808, Y = 9223372036854775807, Z = 1 - X";
+  const auto r = svc.submit(req).wait();
+  ASSERT_EQ(r.status, QueryStatus::Ok) << r.error;
+  const std::vector<std::string> want{
+      "X= -9223372036854775808,Y=9223372036854775807,Z=1- -9223372036854775808"};
+  EXPECT_EQ(r.answers, want);
+  term::Store s;
+  EXPECT_NO_THROW(term::parse_term(want[0], s));
 }
 
 // -------------------------------------------------------------- snapshots --

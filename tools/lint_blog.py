@@ -3,13 +3,17 @@
 
 Checks, each independent (all run; any failure fails the process):
 
-1. X-macro sync.
+1. X-macro sync. The code-side tables expand each macro directly; the
+   hand-written switches and doc tables are the consumers that drift.
    - Every `BLOG_HEAD_OPS` row has a matching `case HeadOp::k<Name>` in the
-     dispatch loop of src/db/head_code.cpp (the enum/name tables expand the
-     macro directly, but the switch is hand-written and can drift).
-   - Every `BLOG_TRACE_EVENTS` display string appears in the hand-maintained
-     event table of docs/OBSERVABILITY.md (the code-side tables expand the
-     macro; the doc is the consumer that goes stale).
+     dispatch loop of src/db/head_code.cpp.
+   - `BLOG_TRACE_EVENTS` rows and the event table of docs/OBSERVABILITY.md
+     match both ways: every macro row has a doc row, every doc row names a
+     macro row, and the two agree on the category.
+   - `BLOG_BUILTINS` rows and the builtin table of docs/ANALYSIS.md match
+     both ways on name, arity and axiom, and every row has a matching
+     `case BuiltinId::k<Id>` in StandardBuiltins::eval
+     (src/engine/builtins.cpp).
 
 2. Header self-containment: every public header under include/blog compiles
    standalone (`g++ -fsyntax-only -std=c++20 -I include` on a one-line TU).
@@ -92,30 +96,84 @@ def check_head_ops() -> None:
         err("BLOG_HEAD_OPS table not found in include/blog/db/head_code.hpp")
         return
     for name in names:
-        if f"case HeadOp::k{name}" not in cpp:
+        if not re.search(rf"case HeadOp::k{name}\b", cpp):
             err(f"BLOG_HEAD_OPS row {name} has no `case HeadOp::k{name}` "
                 "in src/db/head_code.cpp dispatch loop")
 
 
+def doc_table(doc: str, header: str) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of each body row of the markdown table whose
+    header row's first cell is `header`; backticks are stripped."""
+    rows = []
+    in_table = False
+    for lineno, line in enumerate(doc.splitlines(), 1):
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if cells[0] == header:
+            in_table = True
+        elif in_table and not set(cells[0]) <= set("-: "):
+            rows.append((lineno, cells))
+    return rows
+
+
+def c_string(literal: str) -> str:
+    """Value of a C string literal's body (only `\\` and `\"` occur)."""
+    return re.sub(r'\\(.)', r"\1", literal)
+
+
+def macro_table(macro: str, hpp_path: str, row_re: str) -> list[tuple[str, ...]]:
+    """The groups of `row_re` for each row of `#define <macro>(X) ...`."""
+    rows = re.findall(row_re, macro_body((REPO / hpp_path).read_text(), macro))
+    if not rows:
+        err(f"{macro} table not found in {hpp_path}")
+    return rows
+
+
+def check_doc_table(macro: str, rows: list[tuple[str, ...]], doc_path: str,
+                    header: str) -> None:
+    """Both-way match of a macro's rows against the leading columns of the
+    doc table whose first header cell is `header`."""
+    if not rows:
+        return
+    doc_file = REPO / doc_path
+    doc_rows = doc_table(doc_file.read_text(), header) if doc_file.exists() else []
+    if not doc_rows:
+        err(f"{doc_path}: no table headed `{header}` ({macro} consumer)")
+        return
+    width = len(rows[0])
+    code = set(rows)
+    doc = {tuple(cells[:width]) for _, cells in doc_rows}
+    for row in rows:
+        if row not in doc:
+            err(f"{macro} row {' / '.join(row)} has no matching row in the "
+                f"{doc_path} `{header}` table")
+    for lineno, cells in doc_rows:
+        if tuple(cells[:width]) not in code:
+            err(f"{doc_path}:{lineno}: `{header}` row "
+                f"{' / '.join(cells[:width])} matches no {macro} row")
+
+
 def check_trace_events() -> None:
-    hpp = (REPO / "include/blog/obs/trace.hpp").read_text()
-    doc_path = REPO / "docs/OBSERVABILITY.md"
-    names = macro_rows(hpp, "BLOG_TRACE_EVENTS")
-    if not names:
-        err("BLOG_TRACE_EVENTS table not found in include/blog/obs/trace.hpp")
-        return
-    # Displays: second argument of each row (scoped to the macro body,
-    # not doc comments elsewhere in the header).
-    displays = re.findall(r'X\(\s*[A-Za-z_][A-Za-z0-9_]*\s*,\s*"([^"]+)"',
-                          macro_body(hpp, "BLOG_TRACE_EVENTS"))
-    if not doc_path.exists():
-        err("docs/OBSERVABILITY.md missing (BLOG_TRACE_EVENTS consumer)")
-        return
-    doc = doc_path.read_text()
-    for display in displays:
-        if display not in doc:
-            err(f"BLOG_TRACE_EVENTS display \"{display}\" missing from "
-                "docs/OBSERVABILITY.md event table")
+    rows = macro_table("BLOG_TRACE_EVENTS", "include/blog/obs/trace.hpp",
+                       r'X\(\s*\w+\s*,\s*"([^"]+)"\s*,\s*"([^"]+)"\s*\)')
+    check_doc_table("BLOG_TRACE_EVENTS", rows, "docs/OBSERVABILITY.md", "event")
+
+
+def check_builtins() -> None:
+    hpp_path = "include/blog/engine/builtins.hpp"
+    rows = macro_table(
+        "BLOG_BUILTINS", hpp_path,
+        r'X\(\s*(\w+)\s*,\s*"((?:[^"\\]|\\.)*)"\s*,\s*(\d+)\s*,\s*(\w+)\s*\)')
+    check_doc_table("BLOG_BUILTINS",
+                    [(c_string(name), arity, axiom) for _, name, arity, axiom in rows],
+                    "docs/ANALYSIS.md", "builtin")
+    cpp = (REPO / "src/engine/builtins.cpp").read_text()
+    for ident, *_ in rows:
+        if not re.search(rf"case BuiltinId::k{ident}\b", cpp):
+            err(f"BLOG_BUILTINS row {ident} has no `case BuiltinId::k{ident}` "
+                "in src/engine/builtins.cpp")
 
 
 def check_header_self_containment() -> None:
@@ -248,6 +306,7 @@ def check_doc_anchors() -> None:
 def main() -> int:
     check_head_ops()
     check_trace_events()
+    check_builtins()
     check_header_self_containment()
     check_todo_references()
     check_tuning_knobs()
