@@ -185,7 +185,8 @@ bool command(ReplState& st, const std::string& line) {
         "max %.3fms\n"
         "cache: %llu hits / %llu misses, %llu inserted, %llu evicted, "
         "%llu invalidated\n"
-        "admission: %llu admitted (%llu queued), epoch %llu, %zu clauses\n",
+        "admission: %zu running, %zu queued, %llu submitted, %llu shed; "
+        "epoch %llu, %zu clauses\n",
         static_cast<unsigned long long>(s.queries),
         static_cast<unsigned long long>(s.cache_hits),
         static_cast<unsigned long long>(s.truncated),
@@ -199,8 +200,9 @@ bool command(ReplState& st, const std::string& line) {
         static_cast<unsigned long long>(s.cache.insertions),
         static_cast<unsigned long long>(s.cache.evictions),
         static_cast<unsigned long long>(s.cache.invalidated),
-        static_cast<unsigned long long>(s.admission.admitted),
-        static_cast<unsigned long long>(s.admission.queued),
+        s.admission.running, s.admission.queued,
+        static_cast<unsigned long long>(s.admission.submitted),
+        static_cast<unsigned long long>(s.admission.rejected),
         static_cast<unsigned long long>(s.epoch), s.program_clauses);
   } else if (cmd == "metrics") {
     std::printf("%s", st.svc.metrics().dump_text().c_str());

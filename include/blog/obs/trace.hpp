@@ -4,7 +4,7 @@
 ///
 /// The engine's concurrency machinery (work-stealing deques, copy-on-steal
 /// spill handles, claim-wait mailboxes, preemption ticker, the serving
-/// layer's admission gate) previously exposed only after-the-fact counter
+/// layer's admission queue) previously exposed only after-the-fact counter
 /// totals. The flight recorder adds the *when*: every interesting scheduler,
 /// runner, and service transition can drop a 16-byte timestamped event into
 /// a fixed-capacity ring buffer, flight-recorder style — old events are

@@ -118,6 +118,9 @@ struct WorkerStats {
   /// static-analysis commit path drives this down: committed ground-fact
   /// matches write no trail at all.
   std::uint64_t trail_writes = 0;
+  /// Chains cut at ExpanderOptions::max_depth: the tree below them was
+  /// never searched, so an exhausted run with cutoffs is incomplete.
+  std::uint64_t depth_cutoffs = 0;
   /// NUMA node this worker was placed on (0 on single-node hosts).
   std::uint32_t numa_node = 0;
 };
@@ -126,7 +129,8 @@ struct WorkerStats {
 /// scheduler traffic counters, and why the search ended.
 struct ParallelResult {
   std::vector<search::Solution> solutions;  ///< recorded answers
-  std::vector<WorkerStats> workers;         ///< one entry per worker
+  /// One entry per worker; empty when the job never started.
+  std::vector<WorkerStats> workers;
   SchedulerStats network;                   ///< scheduler traffic counters
   std::uint64_t nodes_expanded = 0;         ///< total expansions, all workers
   search::Outcome outcome = search::Outcome::Exhausted;  ///< why solve ended

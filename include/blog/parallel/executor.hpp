@@ -20,7 +20,10 @@
 /// deque, attached or not).
 ///
 /// Lifecycle: submit() never blocks — the job is queued (bounded) or
-/// refused. A JobTicket is the client handle: wait()/poll(), cancel()
+/// refused. The run-queue is the only line a job waits in: a worker starts
+/// a new job only while fewer than `max_running_jobs` run, and
+/// `queue_limit` bounds the jobs waiting for one to start. A JobTicket is
+/// the client handle: wait()/poll(), queue_position(), cancel()
 /// (cooperative: workers stop at their next expansion boundary), and
 /// streamed answers via JobRequest::on_answer. One preemption ticker
 /// thread is shared by every job instead of one per solve.
@@ -43,9 +46,14 @@ struct ExecutorOptions {
   /// Pool size: worker threads created and pinned once. 0 = one per
   /// hardware thread (min 1).
   unsigned workers = 0;
-  /// Most jobs admitted but not yet fully dispatched; submit() refuses
-  /// beyond this (returns an invalid ticket — shed, never parked).
+  /// Most jobs waiting in line — not started, and no idle worker free to
+  /// start them; submit() refuses beyond this (returns an invalid ticket —
+  /// shed, never parked).
   std::size_t queue_limit = 256;
+  /// Most jobs running at once: a worker starts a new job only while fewer
+  /// than this many run (a started job still takes its remaining slots).
+  /// 0 = no cap beyond the pool size.
+  std::size_t max_running_jobs = 0;
   bool numa_aware = true;       ///< place workers round-robin across nodes
   bool numa_pin_workers = true; ///< pin each worker to its node's CPUs
   /// Shared preemption ticker period (one thread for the whole pool; jobs
@@ -92,8 +100,9 @@ struct JobRequest {
   /// Solution is only valid during the call.
   std::function<void(const search::Solution&)> on_answer;
   /// Completion callback, invoked once from a pool worker (or from
-  /// cancel()/shutdown for never-started jobs) after the result is set,
-  /// before waiters wake.
+  /// cancel()/shutdown for never-started jobs, whose result lists no
+  /// workers) after the result is set, before waiters wake. Both callbacks
+  /// are released once it returns, so they may hold the job's own ticket.
   std::function<void(const ParallelResult&)> on_complete;
   /// Arbitrary lifetime pin (e.g. the service's ProgramSnapshot).
   std::shared_ptr<const void> keepalive;
@@ -118,6 +127,9 @@ class JobTicket {
   /// workers' next expansion boundary (answers found so far are kept).
   /// Returns false when the job had already completed.
   bool cancel() const;
+  /// 0 when the job has started, is done, or an idle worker is free to
+  /// start it; k > 0 when it is k-th in line for a running job to finish.
+  [[nodiscard]] std::size_t queue_position() const;
 
  private:
   friend class Executor;
@@ -149,8 +161,8 @@ class Executor {
     std::uint64_t completed = 0;   ///< jobs finalized (any outcome)
     std::uint64_t cancelled = 0;   ///< completions with Outcome::Cancelled
     std::uint64_t rejected = 0;    ///< submits refused (queue full)
-    std::size_t queued = 0;        ///< jobs with undispatched slots
-    std::size_t running = 0;       ///< jobs dispatched, not yet finalized
+    std::size_t queued = 0;        ///< jobs no worker has started
+    std::size_t running = 0;       ///< jobs started, search not yet over
     std::size_t busy_workers = 0;  ///< pool workers attached to a job
   };
   [[nodiscard]] Stats stats() const;
@@ -159,6 +171,8 @@ class Executor {
   friend class JobTicket;
 
   void worker_main(unsigned worker);
+  std::size_t unstarted_locked() const;
+  std::size_t startable_locked() const;
   void run_sequential(detail::JobState& job);
   void finalize(const std::shared_ptr<detail::JobState>& job);
   void complete(const std::shared_ptr<detail::JobState>& job,
@@ -168,6 +182,7 @@ class Executor {
 
   ExecutorOptions opts_;
   unsigned pool_size_ = 0;
+  std::size_t max_running_ = 0;       // the cap; no cap = max()
   mutable std::mutex mu_;             // guards queue_ + counters below
   std::condition_variable cv_;        // pool workers wait here
   std::deque<std::shared_ptr<detail::JobState>> queue_;

@@ -117,7 +117,12 @@ private:
   BuiltinEvaluator* builtins_;
 };
 
-/// Render a solution's answer (binding list or the instantiated template).
+/// Render a solution's answer: each `Name=Value` binding of the template
+/// as the name, `=` and the value written quoted, so the text reads back
+/// (a template that is not a binding list is written quoted whole).
 std::string solution_text(const term::Store& s, term::TermRef answer);
+
+/// The text solution_text writes after a binding's `=` for `value`.
+std::string binding_value_text(const term::Store& s, term::TermRef value);
 
 }  // namespace blog::search

@@ -11,10 +11,11 @@
 //     workers are created, NUMA-placed and pinned once, each query becomes
 //     a schedulable job — per-query overhead is enqueue cost, not
 //     thread-spawn cost;
-//   - an admission gate bounds concurrency: at most `max_concurrent_queries`
-//     jobs run, a bounded queue waits (without parking the submitter), and
-//     overload is shed with `QueryStatus::Rejected` — `submit()` never
-//     blocks;
+//   - the pool's run-queue is the one admission queue: every cache miss is
+//     submitted straight to it, at most `max_concurrent_queries` jobs run,
+//     at most `admission_queue_limit` wait for one to finish (without
+//     parking the submitter), and overload is shed with
+//     `QueryStatus::Rejected` — `submit()` never blocks;
 //   - answers can be *streamed* while the search runs: an `on_answer`
 //     callback or a pull-based `AnswerStream`, byte-identical (as a set) to
 //     the batch answer list;
@@ -78,55 +79,9 @@ struct QueryResponse {
   bool from_cache = false;
   std::uint64_t epoch = 0;           // snapshot the query ran against
   std::uint64_t nodes_expanded = 0;
-  /// Human-readable reason for ParseError, Rejected, and Cancelled;
-  /// empty for Ok/Truncated.
+  /// Human-readable reason for ParseError, Rejected, Cancelled, and a
+  /// Truncated run the depth limit cut; empty otherwise.
   std::string error;
-};
-
-/// Counting gate: at most `max_running` queries run at once; up to
-/// `max_queued` more wait, registered without blocking via `try_queue()`,
-/// and beyond that admission refuses (load shedding instead of unbounded
-/// queueing). No method ever blocks its caller.
-class AdmissionGate {
-public:
-  AdmissionGate(std::size_t max_running, std::size_t max_queued);
-
-  /// Admit without waiting: true and a running slot when one is free,
-  /// false otherwise (nothing is counted as rejected — the caller decides
-  /// between try_queue() and shedding). Pairs with leave().
-  bool try_enter();
-  /// Register an async waiter without parking the calling thread. False
-  /// (counted rejected) when the wait queue is full. A true return must be
-  /// resolved by exactly one promote_queued() or abandon_queued().
-  bool try_queue();
-  /// Move one async waiter into a running slot (the service dispatches the
-  /// corresponding queued job). False when no async waiter is registered
-  /// or no slot is free. Pairs with leave().
-  bool promote_queued();
-  /// Unregister an async waiter without admitting it (cancelled while
-  /// queued).
-  void abandon_queued();
-  /// Release a running slot taken by try_enter() or promote_queued().
-  void leave();
-
-  struct Stats {
-    std::uint64_t admitted = 0;
-    std::uint64_t queued = 0;    // admissions that had to wait first
-    std::uint64_t rejected = 0;
-    std::size_t running = 0;     // current occupancy
-    std::size_t waiting = 0;     // registered waiters
-  };
-  [[nodiscard]] Stats stats() const;
-
-private:
-  mutable std::mutex mu_;
-  std::size_t max_running_;
-  std::size_t max_queued_;
-  std::size_t running_ = 0;
-  std::size_t waiting_ = 0;  // registered via try_queue()
-  std::uint64_t admitted_ = 0;
-  std::uint64_t queued_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 struct ServiceOptions {
@@ -134,6 +89,8 @@ struct ServiceOptions {
   std::size_t cache_shards = 8;
   std::size_t cache_capacity_per_shard = 128;
   bool cache_enabled = true;
+  // The executor's cap on running jobs (0 counts as 1) and its queue
+  // limit: the most queries waiting for one to finish before sheds start.
   std::size_t max_concurrent_queries = 8;
   std::size_t admission_queue_limit = 64;
   bool update_weights = true;  // apply §5 updates as queries resolve
@@ -223,8 +180,9 @@ public:
   bool cancel() const;
   /// The pull stream (non-null iff submitted with SubmitOptions::stream).
   [[nodiscard]] AnswerStream* stream() const;
-  /// Admission-queue introspection: 0 when running or done, k > 0 when
-  /// k-th in the service's wait queue.
+  /// Admission-queue introspection: the job's
+  /// parallel::JobTicket::queue_position() — 0 when running, done, or
+  /// about to start on an idle worker, k > 0 when k-th in line.
   [[nodiscard]] std::size_t queue_position() const;
 
 private:
@@ -244,8 +202,8 @@ public:
   explicit QueryService(const engine::Interpreter& seed,
                         ServiceOptions opts = {});
 
-  /// Drains the executor (running jobs are cancelled cooperatively) and
-  /// completes every still-queued ticket with Cancelled before returning.
+  /// Drains the executor: running jobs are cancelled cooperatively, and
+  /// still-queued tickets complete with Cancelled before it returns.
   ~QueryService();
 
   /// Copy-on-write consult: publishes a new snapshot (epoch bump) and
@@ -307,7 +265,7 @@ public:
     double latency_p99_ms = 0.0;
     double latency_max_ms = 0.0;
     AnswerCache::Stats cache;
-    AdmissionGate::Stats admission;
+    parallel::Executor::Stats admission;  // the one admission queue
   };
   [[nodiscard]] Stats stats() const;
 
@@ -326,33 +284,21 @@ public:
   }
 
 private:
-  friend class QueryTicket;
-
   void deliver_answer(detail::TicketState* st, const std::string& text);
-  void dispatch_locked(const std::shared_ptr<detail::TicketState>& st);
   void on_job_complete(const std::shared_ptr<detail::TicketState>& st,
                        const parallel::ParallelResult& r);
   void complete_ticket(const std::shared_ptr<detail::TicketState>& st,
                        QueryResponse&& resp);
-  bool cancel_ticket(const std::shared_ptr<detail::TicketState>& st);
-  std::size_t ticket_queue_position(const detail::TicketState* st) const;
-  void drain_pending();
 
   ServiceOptions opts_;
   SnapshotStore snapshots_;
   db::WeightStore weights_;
   engine::StandardBuiltins builtins_;
   AnswerCache cache_;
-  AdmissionGate gate_;
   std::unique_ptr<parallel::Executor> executor_;
-  // Async admission: tickets registered with gate_.try_queue(), dispatched
-  // FIFO as running jobs release their slots. Guards pending_, shutdown_
-  // and every ticket phase transition; every dispatch reads executor_
-  // under it, so once the destructor sets shutdown_ no dispatch can reach
-  // the pool it is tearing down.
-  mutable std::mutex async_mu_;
-  std::deque<std::shared_ptr<detail::TicketState>> pending_;
-  bool shutdown_ = false;
+  // Set by the destructor: queued jobs the pool then cancels are shutdown
+  // casualties, not client cancels.
+  std::atomic<bool> closing_{false};
 
   // All request counters live in the registry; the bound references keep
   // the hot path at one relaxed fetch_add, exactly as the raw atomics did.

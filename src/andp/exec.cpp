@@ -6,8 +6,8 @@
 #include "blog/analysis/domain.hpp"
 #include "blog/obs/trace.hpp"
 #include "blog/parallel/join.hpp"
+#include "blog/search/engine.hpp"
 #include "blog/term/reader.hpp"
-#include "blog/term/writer.hpp"
 
 namespace blog::andp {
 namespace {
@@ -57,7 +57,7 @@ RelationResult solve_to_relation(
         const term::TermRef v = sol.store.deref(sol.store.arg(a, i));
         if (!assume_ground && !term::is_ground(sol.store, v))
           out.all_ground = false;
-        row.push_back(term::to_string(sol.store, v));
+        row.push_back(search::binding_value_text(sol.store, v));
       }
     }
     out.rel.rows.push_back(std::move(row));

@@ -5,7 +5,7 @@
 
 #include "blog/analysis/domain.hpp"
 #include "blog/analysis/independence.hpp"
-#include "blog/term/writer.hpp"
+#include "blog/search/engine.hpp"
 
 namespace blog::andp {
 namespace {
@@ -183,7 +183,7 @@ DecodedAnswer decode_forked_answer(const search::Solution& sol,
     for (std::uint32_t i = 0; i < n; ++i) {
       const term::TermRef v = s.deref(s.arg(inner, i));
       if (check_ground && !term::is_ground(s, v)) out.ground = false;
-      out.values.push_back(term::to_string(s, v));
+      out.values.push_back(search::binding_value_text(s, v));
     }
   }
   return out;

@@ -1,6 +1,8 @@
 #include "blog/parallel/executor.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "blog/parallel/topology.hpp"
 #include "blog/search/engine.hpp"
@@ -74,12 +76,31 @@ bool JobTicket::cancel() const {
   return state_->exec->cancel_job(state_);
 }
 
+std::size_t JobTicket::queue_position() const {
+  if (!state_ || state_->done_flag.load(std::memory_order_acquire)) return 0;
+  const Executor& exec = *state_->exec;
+  std::lock_guard lock(exec.mu_);
+  if (!state_->in_queue || state_->claimed > 0) return 0;
+  // Started jobs sit only at the front, so this counts unstarted jobs up
+  // to and including this one; the first few an idle worker takes.
+  std::size_t k = 0;
+  for (const auto& j : exec.queue_) {
+    k += j->claimed == 0 ? 1 : 0;
+    if (j == state_) break;
+  }
+  const std::size_t startable = exec.startable_locked();
+  return k > startable ? k - startable : 0;
+}
+
 // -------------------------------------------------------------- Executor --
 
 Executor::Executor(ExecutorOptions opts) : opts_(opts) {
   pool_size_ = opts_.workers != 0
                    ? opts_.workers
                    : std::max(1u, std::thread::hardware_concurrency());
+  max_running_ = opts_.max_running_jobs != 0
+                     ? opts_.max_running_jobs
+                     : std::numeric_limits<std::size_t>::max();
   if (opts_.metrics != nullptr) {
     g_queued_ = &opts_.metrics->gauge("executor.jobs_queued");
     g_running_ = &opts_.metrics->gauge("executor.jobs_running");
@@ -100,36 +121,16 @@ Executor::Executor(ExecutorOptions opts) : opts_(opts) {
 }
 
 Executor::~Executor() {
-  std::vector<std::shared_ptr<JobState>> orphans;
+  std::vector<std::shared_ptr<JobState>> queued;
   {
     std::lock_guard lock(mu_);
-    stop_ = true;
-    // Unclaimed queued jobs will never be picked up (workers refuse new
-    // claims once stop_ is set): finalize them as Cancelled below. Jobs
-    // with attached workers are cancelled cooperatively and finalized by
-    // their own workers.
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if ((*it)->claimed == 0) {
-        (*it)->in_queue = false;
-        orphans.push_back(*it);
-        it = queue_.erase(it);
-      } else {
-        (*it)->cancel_flag.store(true, std::memory_order_relaxed);
-        if ((*it)->net) {
-          report_stop((*it)->ctl.stop_cause, search::Outcome::Cancelled);
-          (*it)->net->stop();
-        }
-        ++it;
-      }
-    }
-    update_gauges();
+    stop_ = true;  // workers claim nothing more
+    queued.assign(queue_.begin(), queue_.end());
   }
   cv_.notify_all();
-  for (auto& job : orphans) {
-    ParallelResult r;
-    r.outcome = search::Outcome::Cancelled;
-    complete(job, std::move(r));
-  }
+  // The client's cancel: an unstarted job completes Cancelled here, a
+  // started one stops cooperatively and its own workers finalize it.
+  for (const auto& job : queued) cancel_job(job);
   for (auto& t : pool_) t.join();
   if (ticker_.joinable()) {
     ticker_stop_.store(true, std::memory_order_relaxed);
@@ -197,13 +198,16 @@ JobTicket Executor::submit(JobRequest req) {
 
   {
     std::lock_guard lock(mu_);
-    if (stop_ || queue_.size() >= opts_.queue_limit) {
+    queue_.push_back(job);
+    // Shed a job that would wait in line beyond the limit; one an idle
+    // worker is free to start never counts against it.
+    if (stop_ || unstarted_locked() - startable_locked() > opts_.queue_limit) {
+      queue_.pop_back();
       ++rejected_;
       return JobTicket();
     }
-    ++submitted_;
     job->in_queue = true;
-    queue_.push_back(job);
+    ++submitted_;
     update_gauges();
   }
   obs::trace(r.opts.trace, obs::client_lane(), obs::EventKind::kJobSubmit,
@@ -240,7 +244,7 @@ bool Executor::cancel_job(const std::shared_ptr<detail::JobState>& job) {
   obs::trace(job->req.opts.trace, obs::client_lane(),
              obs::EventKind::kJobCancel, static_cast<std::uint32_t>(job->id));
   if (orphaned) {
-    ParallelResult r;
+    ParallelResult r;  // no workers: none ever attached
     r.outcome = search::Outcome::Cancelled;
     complete(job, std::move(r));
   }
@@ -257,25 +261,44 @@ void Executor::worker_main(unsigned worker) {
     if (opts_.numa_pin_workers) pin_current_thread_to_node(topo, numa_node);
   }
 
+  // Under a cap below the pool size, idle workers sleep past jobs the cap
+  // holds back, so whoever frees or fills a cap slot wakes them.
+  const bool capped = max_running_ < pool_size_;
+  bool busy = false;  // back from a job: counted busy until it re-claims
   for (;;) {
     std::shared_ptr<JobState> job;
     unsigned slot = 0;
     bool first = false;
+    bool wake = false;
     {
       std::unique_lock lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      if (busy) {
+        --busy_workers_;
+        busy = false;
+        update_gauges();
+      }
+      // Claim the front job's next slot; starting it needs room under the cap.
+      cv_.wait(lock, [&] {
+        return stop_ || (!queue_.empty() && (queue_.front()->claimed > 0 ||
+                                             running_jobs_ < max_running_));
+      });
       if (stop_) return;
       job = queue_.front();
       slot = job->claimed++;
       first = slot == 0;
-      if (first) ++running_jobs_;
+      if (first) {
+        ++running_jobs_;
+        wake = capped && job->claimed < job->slots;
+      }
       if (job->claimed >= job->slots) {
         queue_.pop_front();
         job->in_queue = false;
       }
       ++busy_workers_;
+      busy = true;
       update_gauges();
     }
+    if (wake) cv_.notify_all();
     if (first)
       obs::trace(job->cfg.trace, static_cast<std::uint16_t>(worker),
                  obs::EventKind::kJobStart,
@@ -302,11 +325,12 @@ void Executor::worker_main(unsigned worker) {
         queue_.erase(std::find(queue_.begin(), queue_.end(), job));
         job->in_queue = false;
       }
-      --busy_workers_;
       last = ++job->exited == job->claimed;
       if (last) --running_jobs_;
+      wake = last && capped && !queue_.empty();
       update_gauges();
     }
+    if (wake) cv_.notify_one();
     if (last) finalize(job);
   }
 }
@@ -334,6 +358,7 @@ void Executor::run_sequential(detail::JobState& job) {
   pr.workers[0].solutions = sr.stats.solutions;
   pr.workers[0].failures = sr.stats.failures;
   pr.workers[0].trail_writes = sr.stats.expand.trail_writes;
+  pr.workers[0].depth_cutoffs = sr.stats.depth_cutoffs;
   job.seq_result = std::move(pr);
 }
 
@@ -363,9 +388,12 @@ void Executor::complete(const std::shared_ptr<detail::JobState>& job,
   obs::trace(job->req.opts.trace, obs::client_lane(),
              obs::EventKind::kJobDone, static_cast<std::uint32_t>(job->id));
   // The completion callback runs before waiters wake so a submit().wait()
-  // wrapper observes the callback's side effects (cache insert, gate
-  // release). Calling JobTicket::wait from inside on_complete deadlocks.
-  if (job->req.on_complete) job->req.on_complete(r);
+  // wrapper observes the callback's side effects (cache insert). Calling
+  // JobTicket::wait from inside on_complete deadlocks. Both callbacks go
+  // with the completion: they may hold state that holds this job's ticket.
+  const auto on_complete = std::exchange(job->req.on_complete, nullptr);
+  job->req.on_answer = nullptr;
+  if (on_complete) on_complete(r);
   {
     std::lock_guard lock(job->done_mu);
     job->result = std::move(r);
@@ -381,14 +409,38 @@ Executor::Stats Executor::stats() const {
   s.completed = completed_;
   s.cancelled = cancelled_;
   s.rejected = rejected_;
-  s.queued = queue_.size();
+  s.queued = unstarted_locked();
   s.running = running_jobs_;
   s.busy_workers = busy_workers_;
   return s;
 }
 
+std::size_t Executor::unstarted_locked() const {
+  // Claims come off the front only, so only the front can have started.
+  return queue_.size() - (!queue_.empty() && queue_.front()->claimed > 0 ? 1 : 0);
+}
+
+std::size_t Executor::startable_locked() const {
+  // Workers claim front to back: a started job's open slots fill first,
+  // and each start needs an idle worker and room under the cap.
+  std::size_t idle = pool_size_ - busy_workers_;
+  std::size_t room = max_running_ - running_jobs_;
+  std::size_t n = 0;
+  for (const auto& job : queue_) {
+    if (idle == 0) break;
+    if (job->claimed == 0) {
+      if (room == 0) break;
+      --room;
+      ++n;
+    }
+    idle -= std::min<std::size_t>(idle, job->slots - job->claimed);
+  }
+  return n;
+}
+
 void Executor::update_gauges() {
-  if (g_queued_ != nullptr) g_queued_->set(static_cast<double>(queue_.size()));
+  if (g_queued_ != nullptr)
+    g_queued_->set(static_cast<double>(unstarted_locked()));
   if (g_running_ != nullptr)
     g_running_->set(static_cast<double>(running_jobs_));
   if (g_busy_ != nullptr) g_busy_->set(static_cast<double>(busy_workers_));

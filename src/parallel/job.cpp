@@ -252,6 +252,7 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
         net.on_expanded(0);
         break;
       case search::NodeOutcome::DepthLimit:
+        ++ws.depth_cutoffs;
         net.on_expanded(0);
         break;
     }

@@ -11,9 +11,47 @@ SearchEngine::SearchEngine(const db::Program& program, db::WeightStore& weights,
                            BuiltinEvaluator* builtins)
     : program_(program), weights_(weights), builtins_(builtins) {}
 
+namespace {
+
+/// Append a binding's value to text that ends in its `=`: quoted, at the
+/// right-argument priority of `=` (xfx 700), so the binding reads back,
+/// and after a space where it would glue onto the `=` (`X= -1`).
+void write_binding_value(std::string& out, const term::Store& s,
+                         term::TermRef value) {
+  term::write_term(out, s, value, {.quoted = true}, 699);
+}
+
+}  // namespace
+
 std::string solution_text(const term::Store& s, term::TermRef answer) {
   if (answer == term::kNullTerm) return "true";
-  return term::to_string(s, answer);
+  static const Symbol eq = intern("=");
+  // engine::parse_query builds `Name1=V1,Name2=V2,...`, or uses the query
+  // itself when it names no variable.
+  const auto is_pair = [&](term::TermRef t, Symbol f) {
+    return s.is_struct(t) && s.functor(t) == f && s.arity(t) == 2;
+  };
+  std::string out;
+  for (term::TermRef t = s.deref(answer);; t = s.deref(s.arg(t, 1))) {
+    const bool more = is_pair(t, term::comma_symbol());
+    const term::TermRef item = more ? s.deref(s.arg(t, 0)) : t;
+    if (is_pair(item, eq) && s.is_atom(s.deref(s.arg(item, 0)))) {
+      out += symbol_name(s.atom_name(s.deref(s.arg(item, 0))));
+      out += '=';
+      write_binding_value(out, s, s.arg(item, 1));
+    } else {
+      term::write_term(out, s, item, {.quoted = true}, 999);
+    }
+    if (!more) return out;
+    out += ',';
+  }
+}
+
+std::string binding_value_text(const term::Store& s, term::TermRef value) {
+  std::string out = "=";
+  write_binding_value(out, s, value);
+  out.erase(0, 1);
+  return out;
 }
 
 const char* outcome_name(Outcome o) {

@@ -12,19 +12,15 @@ namespace blog::service {
 
 namespace detail {
 
-/// Shared state behind one QueryTicket: the request, its snapshot pin,
-/// delivery machinery, the admission phase, and the completion latch.
+/// Shared state behind one QueryTicket: delivery machinery, the job that
+/// runs it, and the completion latch.
 struct TicketState {
-  QueryService* svc = nullptr;
   std::uint32_t qid = 0;
   std::uint16_t lane = 0;
   std::chrono::steady_clock::time_point t0;
-  QueryRequest req;
   SubmitOptions sopts;
   std::string key;
-  std::shared_ptr<const ProgramSnapshot> snap;
-  search::Query q;
-  search::ExecutionLimits limits;  ///< fixed at submit time
+  std::uint64_t epoch = 0;  ///< snapshot the query runs against
   std::unique_ptr<AnswerStream> stream;
 
   // Streaming dedup: the batch answer list is sorted + deduplicated, so
@@ -32,9 +28,9 @@ struct TicketState {
   std::mutex emit_mu;
   std::set<std::string> emitted;
 
-  enum Phase : int { kPending, kDispatched, kDone };
-  int phase = kDispatched;  // guarded by svc->async_mu_
-  parallel::JobTicket job;  // set while dispatched; cleared at completion
+  /// Written once by submit() before the ticket is handed out; invalid
+  /// for a query that never reached the pool (parse error, hit, shed).
+  parallel::JobTicket job;
 
   std::atomic<bool> done_flag{false};
   std::mutex mu;
@@ -81,55 +77,6 @@ const char* query_status_name(QueryStatus s) {
     case QueryStatus::Cancelled: return "cancelled";
   }
   return "?";
-}
-
-// ------------------------------------------------------------- admission --
-
-AdmissionGate::AdmissionGate(std::size_t max_running, std::size_t max_queued)
-    : max_running_(max_running == 0 ? 1 : max_running),
-      max_queued_(max_queued) {}
-
-bool AdmissionGate::try_enter() {
-  std::lock_guard lock(mu_);
-  if (running_ >= max_running_) return false;
-  ++running_;
-  ++admitted_;
-  return true;
-}
-
-bool AdmissionGate::try_queue() {
-  std::lock_guard lock(mu_);
-  if (waiting_ >= max_queued_) {
-    ++rejected_;
-    return false;
-  }
-  ++waiting_;
-  ++queued_;
-  return true;
-}
-
-bool AdmissionGate::promote_queued() {
-  std::lock_guard lock(mu_);
-  if (waiting_ == 0 || running_ >= max_running_) return false;
-  --waiting_;
-  ++running_;
-  ++admitted_;
-  return true;
-}
-
-void AdmissionGate::abandon_queued() {
-  std::lock_guard lock(mu_);
-  if (waiting_ > 0) --waiting_;
-}
-
-void AdmissionGate::leave() {
-  std::lock_guard lock(mu_);
-  --running_;
-}
-
-AdmissionGate::Stats AdmissionGate::stats() const {
-  std::lock_guard lock(mu_);
-  return Stats{admitted_, queued_, rejected_, running_, waiting_};
 }
 
 // ---------------------------------------------------------- AnswerStream --
@@ -189,7 +136,9 @@ const QueryResponse& QueryTicket::wait() const {
 }
 
 bool QueryTicket::cancel() const {
-  return st_ != nullptr && st_->svc->cancel_ticket(st_);
+  // A queued job completes at once ("cancelled while queued"); a running
+  // one stops cooperatively and completes through on_job_complete.
+  return st_ != nullptr && !poll() && st_->job.cancel();
 }
 
 AnswerStream* QueryTicket::stream() const {
@@ -197,7 +146,7 @@ AnswerStream* QueryTicket::stream() const {
 }
 
 std::size_t QueryTicket::queue_position() const {
-  return st_ ? st_->svc->ticket_queue_position(st_.get()) : 0;
+  return st_ ? st_->job.queue_position() : 0;
 }
 
 // --------------------------------------------------------------- service --
@@ -205,15 +154,12 @@ std::size_t QueryTicket::queue_position() const {
 QueryService::QueryService(ServiceOptions opts)
     : opts_(opts),
       weights_(opts.weight_params),
-      cache_(opts.cache_shards, opts.cache_capacity_per_shard),
-      gate_(opts.max_concurrent_queries, opts.admission_queue_limit) {
+      cache_(opts.cache_shards, opts.cache_capacity_per_shard) {
   trace_.store(opts.trace, std::memory_order_relaxed);
   parallel::ExecutorOptions eo;
   eo.workers = opts_.executor_workers;
-  // The admission gate is the real bound; size the executor queue so it
-  // never refuses what the gate admitted.
-  eo.queue_limit =
-      opts_.max_concurrent_queries + opts_.admission_queue_limit + 8;
+  eo.queue_limit = opts_.admission_queue_limit;
+  eo.max_running_jobs = std::max<std::size_t>(opts_.max_concurrent_queries, 1);
   // Served queries are short; the per-expansion deadline check already
   // bounds their latency, so skip the preemption ticker thread.
   eo.preempt_interval = std::chrono::microseconds(0);
@@ -227,33 +173,10 @@ QueryService::QueryService(const engine::Interpreter& seed, ServiceOptions opts)
 }
 
 QueryService::~QueryService() {
-  {
-    // Under async_mu_: a completion already inside drain_pending finishes
-    // its dispatch first, and every later one sees shutdown_ and leaves
-    // executor_ alone — reset() nulls the pointer before the pool joins.
-    std::lock_guard lock(async_mu_);
-    shutdown_ = true;
-  }
-  // Running jobs are cancelled cooperatively and finalized by the pool
-  // before reset() returns; their completions skip drain_pending (shutdown
-  // is set), so still-queued tickets are left for us to cancel below.
+  closing_.store(true, std::memory_order_relaxed);
+  // Every ticket completes before reset() returns: queued jobs as
+  // Cancelled on this thread, running ones cooperatively on their workers.
   executor_.reset();
-  std::deque<std::shared_ptr<detail::TicketState>> left;
-  {
-    std::lock_guard lock(async_mu_);
-    left.swap(pending_);
-    for (auto& st : left) st->phase = detail::TicketState::kDone;
-  }
-  for (auto& st : left) {
-    gate_.abandon_queued();
-    cancelled_.inc();
-    QueryResponse resp;
-    resp.status = QueryStatus::Cancelled;
-    resp.outcome = search::Outcome::Cancelled;
-    resp.epoch = st->snap ? st->snap->epoch : 0;
-    resp.error = "service shutting down";
-    complete_ticket(st, std::move(resp));
-  }
 }
 
 void QueryService::consult(std::string_view text) {
@@ -314,146 +237,52 @@ void QueryService::complete_ticket(
   st->cv.notify_all();
 }
 
-void QueryService::dispatch_locked(
-    const std::shared_ptr<detail::TicketState>& st) {
-  st->phase = detail::TicketState::kDispatched;
-  parallel::JobRequest jr;
-  jr.program = st->snap->program.get();
-  jr.weights = &weights_;
-  jr.builtins = &builtins_;
-  jr.query = std::move(st->q);
-  jr.slots = std::max(1u, st->req.workers);
-  jr.strategy = st->req.strategy;
-  // Limits were fixed at submit time: queue time counts against the
-  // client's deadline.
-  jr.opts.limits = st->limits;
-  jr.opts.update_weights = opts_.update_weights;
-  jr.opts.preempt_interval = std::chrono::microseconds(0);
-  jr.opts.trace = trace_.load(std::memory_order_acquire);
-  jr.keepalive = st->snap;
-  if (st->sopts.on_answer || st->stream) {
-    auto held = st;
-    jr.on_answer = [held](const search::Solution& sol) {
-      held->svc->deliver_answer(held.get(), sol.text);
-    };
-  }
-  {
-    auto held = st;
-    jr.on_complete = [held](const parallel::ParallelResult& r) {
-      held->svc->on_job_complete(held, r);
-    };
-  }
-  st->job = executor_->submit(std::move(jr));
-  if (!st->job.valid()) {
-    // The executor refused (shutting down, or a queue bound below the
-    // gate's): shed exactly like a full admission queue.
-    st->phase = detail::TicketState::kDone;
-    gate_.leave();
-    rejected_.inc();
-    QueryResponse resp;
-    resp.status = QueryStatus::Rejected;
-    resp.epoch = st->snap->epoch;
-    resp.error = "executor queue full";
-    complete_ticket(st, std::move(resp));
-  }
-}
-
 void QueryService::on_job_complete(
     const std::shared_ptr<detail::TicketState>& st,
     const parallel::ParallelResult& r) {
   QueryResponse resp;
-  resp.epoch = st->snap->epoch;
+  resp.epoch = st->epoch;
   resp.outcome = r.outcome;
   resp.nodes_expanded = r.nodes_expanded;
   resp.answers.reserve(r.solutions.size());
   for (const auto& s : r.solutions) resp.answers.push_back(s.text);
   resp.answers = engine::solution_texts(std::move(resp.answers));
-  switch (r.outcome) {
-    case search::Outcome::Exhausted:
-      resp.status = QueryStatus::Ok;
-      break;
-    case search::Outcome::Cancelled:
-      resp.status = QueryStatus::Cancelled;
-      resp.error = "cancelled by client";
-      cancelled_.inc();
-      break;
-    default:
-      resp.status = QueryStatus::Truncated;
-      break;
-  }
-  if (resp.status == QueryStatus::Truncated) {
+  std::uint64_t depth_cutoffs = 0;
+  for (const auto& ws : r.workers) depth_cutoffs += ws.depth_cutoffs;
+  if (r.outcome == search::Outcome::Cancelled) {
+    resp.status = QueryStatus::Cancelled;
+    // No worker ever attached: the pool dropped it from its queue.
+    resp.error = !r.workers.empty() ? "cancelled by client"
+                 : closing_.load(std::memory_order_relaxed)
+                     ? "service shutting down"
+                     : "cancelled while queued";
+    cancelled_.inc();
+  } else if (r.outcome == search::Outcome::Exhausted && depth_cutoffs == 0) {
+    resp.status = QueryStatus::Ok;
+  } else {
+    resp.status = QueryStatus::Truncated;
     truncated_.inc();
+    if (depth_cutoffs > 0)
+      resp.error = "depth limit " +
+                   std::to_string(search::ExpanderOptions{}.max_depth) +
+                   " cut the search: answers may be missing";
     if (resp.outcome == search::Outcome::BudgetExceeded)
       obs::trace(trace_.load(std::memory_order_acquire), st->lane,
                  obs::EventKind::kBudgetExhausted, st->qid);
   }
   // Cache only complete answer sets — a partial set is an artifact of
-  // strategy and budget, not of the program. The entry carries the epoch
-  // the query ran under, so a consult that raced us can never serve it:
-  // lookups require the then-current epoch.
+  // strategy, budget and depth limit, not of the program. The entry
+  // carries the epoch the query ran under, so a consult that raced us can
+  // never serve it: lookups require the then-current epoch.
   if (opts_.cache_enabled && resp.status == QueryStatus::Ok)
-    cache_.insert(st->key, st->snap->epoch, resp.answers);
-  {
-    std::lock_guard lock(async_mu_);
-    st->phase = detail::TicketState::kDone;
-    st->job = parallel::JobTicket();  // break the state<->job ref cycle
-  }
-  gate_.leave();
-  drain_pending();
+    cache_.insert(st->key, st->epoch, resp.answers);
   complete_ticket(st, std::move(resp));
-}
-
-void QueryService::drain_pending() {
-  std::lock_guard lock(async_mu_);
-  if (shutdown_) return;
-  while (!pending_.empty() && gate_.promote_queued()) {
-    auto st = pending_.front();
-    pending_.pop_front();
-    dispatch_locked(st);
-  }
-}
-
-bool QueryService::cancel_ticket(
-    const std::shared_ptr<detail::TicketState>& st) {
-  std::unique_lock lock(async_mu_);
-  if (st->done_flag.load(std::memory_order_acquire) ||
-      st->phase == detail::TicketState::kDone)
-    return false;
-  if (st->phase == detail::TicketState::kPending) {
-    pending_.erase(std::find(pending_.begin(), pending_.end(), st));
-    st->phase = detail::TicketState::kDone;
-    lock.unlock();
-    gate_.abandon_queued();
-    cancelled_.inc();
-    QueryResponse resp;
-    resp.status = QueryStatus::Cancelled;
-    resp.outcome = search::Outcome::Cancelled;
-    resp.epoch = st->snap->epoch;
-    resp.error = "cancelled while queued";
-    complete_ticket(st, std::move(resp));
-    return true;
-  }
-  parallel::JobTicket job = st->job;
-  lock.unlock();
-  // Running: cooperative — the job completes (status Cancelled) through
-  // the normal on_job_complete path. False when it already finished.
-  return job.cancel();
-}
-
-std::size_t QueryService::ticket_queue_position(
-    const detail::TicketState* st) const {
-  std::lock_guard lock(async_mu_);
-  for (std::size_t i = 0; i < pending_.size(); ++i)
-    if (pending_[i].get() == st) return i + 1;
-  return 0;
 }
 
 QueryTicket QueryService::submit(const QueryRequest& req,
                                  SubmitOptions sopts) {
   auto st = std::make_shared<detail::TicketState>();
-  st->svc = this;
   st->t0 = std::chrono::steady_clock::now();
-  st->req = req;
   st->sopts = std::move(sopts);
   obs::TraceSink* const trace = trace_.load(std::memory_order_acquire);
   // Query ids pair kQueryBegin/kQueryEnd into one async span per request;
@@ -465,9 +294,10 @@ QueryTicket QueryService::submit(const QueryRequest& req,
     st->stream.reset(new AnswerStream(opts_.stream_chunk));
 
   QueryResponse resp;
+  parallel::JobRequest jr;
   try {
-    st->q = engine::parse_query(st->req.text);
-    st->key = canonical_from(st->q);
+    jr.query = engine::parse_query(req.text);
+    st->key = canonical_from(jr.query);
   } catch (const term::ParseError& e) {
     parse_errors_.inc();
     resp.status = QueryStatus::ParseError;
@@ -477,11 +307,11 @@ QueryTicket QueryService::submit(const QueryRequest& req,
   }
 
   queries_.inc();
-  st->snap = snapshots_.current();
-  resp.epoch = st->snap->epoch;
+  auto snap = snapshots_.current();
+  st->epoch = resp.epoch = snap->epoch;
 
   if (opts_.cache_enabled) {
-    if (auto hit = cache_.lookup(st->key, st->snap->epoch)) {
+    if (auto hit = cache_.lookup(st->key, st->epoch)) {
       cache_hits_.inc();
       obs::trace(trace, st->lane, obs::EventKind::kCacheHit, st->qid);
       resp.answers = std::move(*hit);
@@ -492,22 +322,27 @@ QueryTicket QueryService::submit(const QueryRequest& req,
     obs::trace(trace, st->lane, obs::EventKind::kCacheMiss, st->qid);
   }
 
-  // Async admission: admit now, queue without parking, or shed — this
-  // thread never blocks.
-  st->limits = st->req.budget.limits();
-  {
-    std::lock_guard lock(async_mu_);
-    if (shutdown_) {
-      // fall through to shed below
-    } else if (gate_.try_enter()) {
-      dispatch_locked(st);
-      return QueryTicket(st);
-    } else if (gate_.try_queue()) {
-      st->phase = detail::TicketState::kPending;
-      pending_.push_back(st);
-      return QueryTicket(st);
-    }
-  }
+  // A miss goes straight to the pool's run-queue, which starts it, queues
+  // it without parking this thread, or refuses it (shed below).
+  jr.program = snap->program.get();
+  jr.weights = &weights_;
+  jr.builtins = &builtins_;
+  jr.slots = std::max(1u, req.workers);
+  jr.strategy = req.strategy;
+  // Limits are fixed now: queue time counts against the client's deadline.
+  jr.opts.limits = req.budget.limits();
+  jr.opts.update_weights = opts_.update_weights;
+  jr.opts.trace = trace;
+  jr.keepalive = std::move(snap);
+  if (st->sopts.on_answer || st->stream)
+    jr.on_answer = [this, held = st](const search::Solution& sol) {
+      deliver_answer(held.get(), sol.text);
+    };
+  jr.on_complete = [this, held = st](const parallel::ParallelResult& r) {
+    on_job_complete(held, r);
+  };
+  st->job = executor_->submit(std::move(jr));
+  if (st->job.valid()) return QueryTicket(st);
   rejected_.inc();
   obs::trace(trace, st->lane, obs::EventKind::kAdmissionShed, st->qid);
   resp.status = QueryStatus::Rejected;
@@ -546,7 +381,7 @@ QueryService::Stats QueryService::stats() const {
   s.epoch = snap->epoch;
   s.program_clauses = snap->program->size();
   s.cache = cache_.stats();
-  s.admission = gate_.stats();
+  s.admission = executor_->stats();
   return s;
 }
 

@@ -168,6 +168,28 @@ TEST(AndExec, IndependentGoalsCrossProduct) {
   EXPECT_EQ(res.solutions, engine::solution_texts(ip2.solve("p(X), q(Y)")));
 }
 
+TEST(AndExec, QuotedAnswerValuesMatchSequential) {
+  // Values that need quotes or a space after `=` render alike on the
+  // unified, legacy and semi-join paths and in the sequential engine.
+  constexpr const char* kQuoted =
+      "v('Y'). v('hello world'). v(-1). w(a=b). w('it''s'). "
+      "u('Y',[1,2]). u(-1,'Z').";
+  Interpreter seq;
+  seq.consult_string(kQuoted);
+  for (const char* query : {"v(X), w(Y)", "v(X), u(X,Z)"}) {
+    const auto expect = engine::solution_texts(seq.solve(query));
+    ASSERT_FALSE(expect.empty()) << query;
+    for (const bool unified : {true, false}) {
+      Interpreter ip;
+      ip.consult_string(kQuoted);
+      AndParallelOptions o;
+      o.unified = unified;
+      EXPECT_EQ(solve_and_parallel(ip, query, o).solutions, expect)
+          << query << (unified ? " unified" : " legacy");
+    }
+  }
+}
+
 TEST(AndExec, SharedVariableGroupViaSemiJoin) {
   Interpreter ip;
   ip.consult_string(kDb);

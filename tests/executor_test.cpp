@@ -1,8 +1,9 @@
 // Persistent executor + async QueryService API: job lifecycles on the
-// standalone pool, submit/wait/poll/callback/cancel tickets, streamed
-// answers byte-identical (as a set) to the batch list across strategies,
-// consult-during-streaming snapshot isolation, and the ThreadSanitizer
-// storm (N async clients vs a 4-worker pool).
+// standalone pool, the run-queue as the one admission queue (running-job
+// cap, places in line, sheds), submit/wait/poll/callback/cancel tickets,
+// streamed answers byte-identical (as a set) to the batch list across
+// strategies, consult-during-streaming snapshot isolation, and the
+// ThreadSanitizer storm (N async clients vs a 4-worker pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +42,44 @@ std::vector<std::string> sorted(std::vector<std::string> v) {
   std::sort(v.begin(), v.end());
   return v;
 }
+
+JobRequest make_job(engine::Interpreter& ip, const char* query,
+                    unsigned slots = 1) {
+  JobRequest jr;
+  jr.program = &ip.program();
+  jr.weights = &ip.weights();
+  jr.builtins = &ip.builtins();
+  jr.query = ip.parse_query(query);
+  jr.slots = slots;
+  jr.opts.update_weights = false;
+  return jr;
+}
+
+/// The blocker pattern: a pool worker that calls hold() from a job's
+/// callback stays inside it until release(), so tests can fill the pool
+/// and the line deterministically.
+struct Latch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<int> entered{0};
+
+  void hold() {
+    ++entered;
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return open; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  void wait_entered(int n) const {
+    while (entered.load() < n) std::this_thread::yield();
+  }
+};
 
 }  // namespace
 
@@ -152,46 +191,21 @@ TEST(Executor, QueueLimitRefusesWithoutBlocking) {
   Executor exec(eo);
 
   // Park the lone worker so the queue actually fills.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  JobRequest blocker;
-  blocker.program = &ip.program();
-  blocker.weights = &ip.weights();
-  blocker.builtins = &ip.builtins();
-  blocker.query = ip.parse_query("gf(sam,G)");
-  blocker.opts.update_weights = false;
-  blocker.on_complete = [&](const parallel::ParallelResult&) {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return release; });
-  };
+  Latch latch;
+  JobRequest blocker = make_job(ip, "gf(sam,G)");
+  blocker.on_complete = [&](const parallel::ParallelResult&) { latch.hold(); };
   JobTicket held = exec.submit(std::move(blocker));
   ASSERT_TRUE(held.valid());
-  // Wait until the worker claimed it (the queue is empty again); from then
-  // on the worker is held inside the blocker's on_complete.
-  while (exec.stats().queued != 0) std::this_thread::yield();
+  latch.wait_entered(1);
 
-  const auto make = [&] {
-    JobRequest jr;
-    jr.program = &ip.program();
-    jr.weights = &ip.weights();
-    jr.builtins = &ip.builtins();
-    jr.query = ip.parse_query("gf(sam,G)");
-    jr.opts.update_weights = false;
-    return jr;
-  };
-  JobTicket queued = exec.submit(make());
+  JobTicket queued = exec.submit(make_job(ip, "gf(sam,G)"));
   EXPECT_TRUE(queued.valid());    // fits the queue
-  JobTicket refused = exec.submit(make());
+  JobTicket refused = exec.submit(make_job(ip, "gf(sam,G)"));
   EXPECT_FALSE(refused.valid());  // queue full: shed, submit never blocked
   EXPECT_EQ(refused.id(), 0u);
   EXPECT_EQ(exec.stats().rejected, 1u);
 
-  {
-    std::lock_guard lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  latch.release();
   held.wait();
   queued.wait();
   EXPECT_EQ(exec.stats().completed, 2u);
@@ -205,41 +219,124 @@ TEST(Executor, CancelQueuedJobCompletesCancelled) {
   eo.workers = 1;
   Executor exec(eo);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  JobRequest blocker;
-  blocker.program = &ip.program();
-  blocker.weights = &ip.weights();
-  blocker.builtins = &ip.builtins();
-  blocker.query = ip.parse_query("gf(sam,G)");
-  blocker.opts.update_weights = false;
-  blocker.on_complete = [&](const parallel::ParallelResult&) {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return release; });
-  };
+  Latch latch;
+  JobRequest blocker = make_job(ip, "gf(sam,G)");
+  blocker.on_complete = [&](const parallel::ParallelResult&) { latch.hold(); };
   JobTicket held = exec.submit(std::move(blocker));
-  while (exec.stats().queued != 0) std::this_thread::yield();
+  latch.wait_entered(1);
 
-  JobRequest jr;
-  jr.program = &ip.program();
-  jr.weights = &ip.weights();
-  jr.builtins = &ip.builtins();
-  jr.query = ip.parse_query("gf(sam,G)");
-  jr.opts.update_weights = false;
-  JobTicket victim = exec.submit(std::move(jr));
+  JobTicket victim = exec.submit(make_job(ip, "gf(sam,G)"));
   ASSERT_TRUE(victim.valid());
   EXPECT_TRUE(victim.cancel());       // still queued: completes immediately
   EXPECT_FALSE(victim.cancel());      // second cancel: already done
   EXPECT_EQ(victim.wait().outcome, search::Outcome::Cancelled);
+  EXPECT_TRUE(victim.wait().workers.empty());  // no worker ever attached
   EXPECT_EQ(exec.stats().cancelled, 1u);
 
-  {
-    std::lock_guard lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  latch.release();
   held.wait();
+}
+
+TEST(Executor, QueuePositionCountsOnlyJobsWaitingInLine) {
+  engine::Interpreter ip;
+  ip.consult_string(workloads::figure1_family());
+  ExecutorOptions eo;
+  eo.workers = 1;
+  Executor exec(eo);
+
+  Latch latch;
+  JobRequest blocker = make_job(ip, "gf(sam,G)");
+  blocker.on_complete = [&](const parallel::ParallelResult&) { latch.hold(); };
+  JobTicket held = exec.submit(std::move(blocker));
+  latch.wait_entered(1);  // the only worker is busy in the callback
+  EXPECT_EQ(held.queue_position(), 0u);
+
+  std::vector<JobTicket> line;
+  for (int i = 0; i < 3; ++i) line.push_back(exec.submit(make_job(ip, "gf(sam,G)")));
+  for (std::size_t i = 0; i < line.size(); ++i)
+    EXPECT_EQ(line[i].queue_position(), i + 1);
+  EXPECT_EQ(exec.stats().queued, 3u);
+  EXPECT_TRUE(line[1].cancel());  // frees its place
+  EXPECT_EQ(line[1].queue_position(), 0u);
+  EXPECT_EQ(line[0].queue_position(), 1u);
+  EXPECT_EQ(line[2].queue_position(), 2u);
+  EXPECT_EQ(exec.stats().queued, 2u);
+
+  latch.release();
+  for (auto& t : line) t.wait();
+  for (auto& t : line) EXPECT_EQ(t.queue_position(), 0u);
+}
+
+TEST(Executor, ZeroQueueLimitStartsOnlyWhatIdleWorkersTake) {
+  engine::Interpreter ip;
+  ip.consult_string(workloads::figure1_family());
+  ExecutorOptions eo;
+  eo.workers = 2;
+  eo.queue_limit = 0;
+  Executor exec(eo);
+
+  Latch latch;
+  std::vector<JobTicket> held;
+  for (int i = 0; i < 2; ++i) {
+    JobRequest blocker = make_job(ip, "gf(sam,G)");
+    blocker.on_complete = [&](const parallel::ParallelResult&) { latch.hold(); };
+    held.push_back(exec.submit(std::move(blocker)));
+    EXPECT_TRUE(held.back().valid()) << i;  // an idle worker takes it
+  }
+  latch.wait_entered(2);
+  EXPECT_FALSE(exec.submit(make_job(ip, "gf(sam,G)")).valid());  // no room
+  latch.release();
+  for (auto& t : held) t.wait();
+  while (exec.stats().busy_workers != 0) std::this_thread::yield();
+  JobTicket after = exec.submit(make_job(ip, "gf(sam,G)"));
+  ASSERT_TRUE(after.valid());
+  EXPECT_EQ(after.wait().outcome, search::Outcome::Exhausted);
+  EXPECT_EQ(exec.stats().rejected, 1u);
+}
+
+TEST(Executor, RunningJobCapHoldsNewJobsInLine) {
+  engine::Interpreter ip;
+  ip.consult_string(workloads::figure1_family());
+  ExecutorOptions eo;
+  eo.workers = 3;
+  eo.max_running_jobs = 1;
+  Executor exec(eo);
+
+  Latch hold_a;
+  JobRequest a = make_job(ip, "gf(sam,G)");
+  a.on_answer = [&](const search::Solution&) { hold_a.hold(); };
+  JobTicket ta = exec.submit(std::move(a));
+  hold_a.wait_entered(1);  // A runs, its worker held mid-search
+
+  JobTicket tb = exec.submit(make_job(ip, "gf(sam,G)"));
+  Latch hold_c;
+  JobRequest c = make_job(ip, "gf(sam,G)", 3);
+  c.on_answer = [&](const search::Solution&) { hold_c.hold(); };
+  JobTicket tc = exec.submit(std::move(c));
+  // Two workers are idle, but the cap holds both jobs in line.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(tb.poll());
+  EXPECT_EQ(tb.queue_position(), 1u);
+  EXPECT_EQ(tc.queue_position(), 2u);
+  auto s = exec.stats();
+  EXPECT_EQ(s.running, 1u);
+  EXPECT_EQ(s.queued, 2u);
+
+  hold_a.release();
+  ta.wait();
+  tb.wait();
+  // C starts once B is done. The capped start wakes the worker that slept
+  // past C, so all three workers attach while C's first answer is held.
+  hold_c.wait_entered(1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (exec.stats().busy_workers < 3 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  s = exec.stats();
+  EXPECT_EQ(s.busy_workers, 3u);
+  EXPECT_EQ(s.running, 1u);
+  hold_c.release();
+  EXPECT_EQ(tc.wait().outcome, search::Outcome::Exhausted);
+  EXPECT_EQ(tc.wait().solutions.size(), 2u);
 }
 
 TEST(Executor, DestructorCancelsOutstandingJobs) {
@@ -321,15 +418,19 @@ TEST(ServiceSubmit, RejectedCarriesErrorText) {
   QueryService svc(so);
   svc.consult(workloads::layered_dag(6, 4));
 
-  auto held = svc.submit({.text = "path(n0_0,Z,P)", .workers = 2});
-  // Give the job time to be dispatched; the gate slot is taken either way.
+  Latch latch;
+  SubmitOptions hold;
+  hold.on_answer = [&](const std::string&) { latch.hold(); };
+  auto held = svc.submit({.text = "path(n0_0,Z,P)", .workers = 2}, hold);
+  latch.wait_entered(1);  // running: the one cap slot is taken
   auto shed = svc.submit({.text = "path(n0_0,Z,P)"});
   EXPECT_TRUE(shed.poll());
   const auto& r = shed.wait();
   EXPECT_EQ(r.status, QueryStatus::Rejected);
-  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(r.error, "admission queue full");
   EXPECT_EQ(service::query_status_name(r.status), std::string("rejected"));
   held.cancel();
+  latch.release();
   held.wait();
   EXPECT_EQ(svc.stats().rejected, 1u);
 }
@@ -364,20 +465,146 @@ TEST(ServiceSubmit, QueuedTicketReportsPositionAndCancels) {
   QueryService svc(so);
   svc.consult(workloads::layered_dag(6, 4));
 
-  auto held = svc.submit({.text = "path(n0_0,Z,P)", .workers = 2});
+  Latch latch;
+  SubmitOptions hold;
+  hold.on_answer = [&](const std::string&) { latch.hold(); };
+  auto held = svc.submit({.text = "path(n0_0,Z,P)", .workers = 2}, hold);
+  latch.wait_entered(1);  // running, and holding the one cap slot
   auto q1 = svc.submit({.text = "f(X)"});
   auto q2 = svc.submit({.text = "g(X)"});
-  if (!q1.poll() && !q2.poll()) {  // still queued behind `held`
-    EXPECT_EQ(q1.queue_position(), 1u);
-    EXPECT_EQ(q2.queue_position(), 2u);
-    EXPECT_TRUE(q2.cancel());
-    EXPECT_EQ(q2.wait().status, QueryStatus::Cancelled);
-    EXPECT_EQ(q2.wait().error, "cancelled while queued");
-  }
+  EXPECT_EQ(held.queue_position(), 0u);
+  EXPECT_EQ(q1.queue_position(), 1u);
+  EXPECT_EQ(q2.queue_position(), 2u);
+  EXPECT_TRUE(q2.cancel());
+  EXPECT_TRUE(q2.poll());  // completed on the cancelling thread
+  EXPECT_EQ(q2.wait().status, QueryStatus::Cancelled);
+  EXPECT_EQ(q2.wait().error, "cancelled while queued");
+  EXPECT_FALSE(q2.cancel());
+  EXPECT_EQ(q1.queue_position(), 1u);
   held.cancel();
-  held.wait();
-  q1.wait();  // promoted once the slot freed; must not hang
-  q2.wait();
+  latch.release();
+  EXPECT_EQ(held.wait().error, "cancelled by client");
+  EXPECT_EQ(q1.wait().status, QueryStatus::Ok);  // started once held ended
+  EXPECT_EQ(svc.stats().cancelled, 2u);
+}
+
+// The probe setup: a cap above the pool size adds no waiting room, and
+// every query no worker has started reports its place in submit order.
+TEST(ServiceSubmit, QueuedTicketsReportPositionsInSubmitOrder) {
+  service::ServiceOptions so;
+  so.executor_workers = 2;
+  so.max_concurrent_queries = 4;
+  so.admission_queue_limit = 6;
+  so.cache_enabled = false;
+  QueryService svc(so);
+  svc.consult(workloads::figure1_family());
+
+  Latch latch;
+  SubmitOptions hold;
+  hold.on_answer = [&](const std::string&) { latch.hold(); };
+  std::vector<service::QueryTicket> t;
+  for (int i = 0; i < 8; ++i) t.push_back(svc.submit({.text = "gf(sam,G)"}, hold));
+  latch.wait_entered(2);  // both workers hold a running query
+  auto s = svc.stats().admission;
+  EXPECT_EQ(s.running, 2u);
+  EXPECT_EQ(s.queued, 6u);
+  for (std::size_t i = 0; i < t.size(); ++i)
+    EXPECT_EQ(t[i].queue_position(), i < 2 ? 0u : i - 1) << i;
+
+  // The line is full: the next query is shed.
+  EXPECT_EQ(svc.submit({.text = "gf(sam,G)"}).wait().status,
+            QueryStatus::Rejected);
+  // A cancelled queued ticket frees its place for the next submit.
+  EXPECT_TRUE(t[4].cancel());
+  EXPECT_EQ(t[4].wait().error, "cancelled while queued");
+  EXPECT_EQ(t[5].queue_position(), 3u);
+  t.push_back(svc.submit({.text = "gf(sam,G)"}, hold));
+  EXPECT_FALSE(t.back().poll());
+  EXPECT_EQ(t.back().queue_position(), 6u);
+
+  latch.release();
+  for (std::size_t i = 0; i < t.size(); ++i)
+    EXPECT_EQ(t[i].wait().status,
+              i == 4 ? QueryStatus::Cancelled : QueryStatus::Ok) << i;
+  s = svc.stats().admission;
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.completed, 9u);
+}
+
+TEST(ServiceSubmit, ConcurrencyCapBoundsRunningJobs) {
+  service::ServiceOptions so;
+  so.executor_workers = 4;
+  so.max_concurrent_queries = 1;
+  so.cache_enabled = false;
+  QueryService svc(so);
+  svc.consult(workloads::layered_dag(4, 3));
+  const auto expect = cold_texts(workloads::layered_dag(4, 3), "path(n0_0,Z,P)");
+
+  // Sampled from inside running jobs (their answer callbacks) and from a
+  // watcher thread: never more than one job running.
+  std::atomic<std::size_t> most{0};
+  const auto sample = [&] {
+    const std::size_t running = svc.executor()->stats().running;
+    std::size_t seen = most.load();
+    while (running > seen && !most.compare_exchange_weak(seen, running)) {
+    }
+  };
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    while (!done.load()) sample();
+  });
+  SubmitOptions probe;
+  probe.on_answer = [&](const std::string&) { sample(); };
+  std::vector<service::QueryTicket> tickets;
+  for (unsigned i = 0; i < 16; ++i)
+    tickets.push_back(
+        svc.submit({.text = "path(n0_0,Z,P)", .workers = 1 + i % 3}, probe));
+  for (auto& t : tickets) {
+    EXPECT_EQ(t.wait().status, QueryStatus::Ok);
+    EXPECT_EQ(t.wait().answers, expect);
+  }
+  done = true;
+  watcher.join();
+  EXPECT_EQ(most.load(), 1u);
+}
+
+TEST(ServiceSubmit, EachShedIsOneRejectedCountAndEvent) {
+  obs::TraceSink sink;
+  service::ServiceOptions so;
+  so.executor_workers = 2;
+  so.max_concurrent_queries = 1;
+  so.admission_queue_limit = 1;
+  so.cache_enabled = false;
+  so.trace = &sink;
+  QueryService svc(so);
+  svc.consult(workloads::figure1_family());
+
+  Latch latch;
+  SubmitOptions hold;
+  hold.on_answer = [&](const std::string&) { latch.hold(); };
+  auto running = svc.submit({.text = "gf(sam,G)"}, hold);
+  latch.wait_entered(1);
+  auto waiting = svc.submit({.text = "gf(sam,G)"});
+  EXPECT_EQ(waiting.queue_position(), 1u);  // the line of one is full
+  for (int i = 0; i < 3; ++i) {
+    auto shed = svc.submit({.text = "gf(sam,G)"});
+    EXPECT_TRUE(shed.poll());
+    EXPECT_EQ(shed.wait().status, QueryStatus::Rejected);
+    EXPECT_EQ(shed.wait().error, "admission queue full");
+    EXPECT_EQ(shed.queue_position(), 0u);
+    EXPECT_FALSE(shed.cancel());
+  }
+  latch.release();
+  EXPECT_EQ(running.wait().status, QueryStatus::Ok);
+  EXPECT_EQ(waiting.wait().status, QueryStatus::Ok);
+
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.rejected, 3u);
+  EXPECT_EQ(stats.admission.rejected, 3u);
+  std::size_t shed_events = 0;
+  for (const auto& e : sink.snapshot())
+    shed_events += e.kind == static_cast<std::uint16_t>(obs::EventKind::kAdmissionShed);
+  EXPECT_EQ(shed_events, 3u);
 }
 
 // -------------------------------------- streaming: byte-identity et al --
@@ -526,21 +753,51 @@ TEST(ServiceStorm, AsyncClientsVsSmallPool) {
   // Every query is accounted for exactly once in the terminal counters or
   // completed Ok (cache hits included in queries).
   EXPECT_EQ(stats.admission.running, 0u);
-  EXPECT_EQ(stats.admission.waiting, 0u);
+  EXPECT_EQ(stats.admission.queued, 0u);
 }
 
-// Destruction with live tickets: the service cancels queued work and
-// drains the pool; every outstanding ticket completes.
+// Destruction with live tickets: the pool cancels queued work and drains
+// running jobs; every outstanding ticket completes.
 TEST(ServiceStorm, DestructionCompletesOutstandingTickets) {
   const auto expect_completed =
       [](const std::vector<service::QueryTicket>& tickets) {
         for (const auto& t : tickets) {
           EXPECT_TRUE(t.poll());  // completed before the destructor returned
-          const auto s = t.wait().status;
-          EXPECT_TRUE(s == QueryStatus::Ok || s == QueryStatus::Cancelled)
-              << service::query_status_name(s);
+          const auto& r = t.wait();
+          EXPECT_TRUE(r.status == QueryStatus::Ok ||
+                      r.status == QueryStatus::Cancelled)
+              << service::query_status_name(r.status);
+          if (r.status == QueryStatus::Cancelled)
+            EXPECT_TRUE(r.error == "service shutting down" ||
+                        r.error == "cancelled by client")
+                << r.error;
         }
       };
+  {
+    // One worker held mid-search, one query in line behind it.
+    Latch latch;
+    service::QueryTicket running, queued;
+    std::thread releaser;
+    {
+      service::ServiceOptions so;
+      so.executor_workers = 1;
+      QueryService svc(so);
+      svc.consult(workloads::figure1_family());
+      SubmitOptions hold;
+      hold.on_answer = [&](const std::string&) { latch.hold(); };
+      running = svc.submit({.text = "gf(sam,G)"}, hold);
+      latch.wait_entered(1);
+      queued = svc.submit({.text = "gf(dan,G)"});
+      EXPECT_EQ(queued.queue_position(), 1u);
+      releaser = std::thread([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        latch.release();
+      });
+    }  // ~QueryService
+    releaser.join();
+    expect_completed({running, queued});
+    EXPECT_EQ(queued.wait().error, "service shutting down");
+  }
   {
     std::vector<service::QueryTicket> tickets;
     {
@@ -556,9 +813,8 @@ TEST(ServiceStorm, DestructionCompletesOutstandingTickets) {
     }  // ~QueryService
     expect_completed(tickets);
   }
-  // Short queries behind a one-slot gate: pool workers finish jobs and
-  // dispatch queued tickets while the destructor tears the pool down. No
-  // dispatch may reach the executor once teardown has begun.
+  // Short queries behind a one-job cap: pool workers finish jobs and
+  // start queued ones while the destructor tears the pool down.
   for (int cycle = 0; cycle < 50; ++cycle) {
     std::vector<service::QueryTicket> tickets;
     {

@@ -4,6 +4,8 @@
 #include "blog/engine/interpreter.hpp"
 #include "blog/search/engine.hpp"
 #include "blog/search/update.hpp"
+#include "blog/term/reader.hpp"
+#include "blog/term/writer.hpp"
 
 namespace blog::search {
 namespace {
@@ -119,6 +121,30 @@ TEST(Search, DepthLimitCutsInfiniteTree) {
   EXPECT_TRUE(r.exhausted);
   EXPECT_TRUE(r.solutions.empty());
   EXPECT_GT(r.stats.depth_cutoffs, 0u);
+}
+
+TEST(Search, AnswerValuesAreQuotedAndReadBack) {
+  Interpreter ip;
+  ip.consult_string(
+      "q('Y'). q('hello world'). q('it''s'). q(-1). q(a=b). q([1,2]). "
+      "p('A',b).");
+  const std::vector<std::string> texts =
+      engine::solution_texts(ip.solve("q(X)"));
+  EXPECT_EQ(texts, (std::vector<std::string>{"X= -1", "X='Y'",
+                                             "X='hello world'", "X='it''s'",
+                                             "X=(a=b)", "X=[1,2]"}));
+  // Each text reads back as `X = Value`, and Value writes back the same.
+  for (const std::string& text : texts) {
+    term::Store s;
+    const term::ReadTerm rt = term::parse_term(text, s);
+    ASSERT_EQ(rt.variables.size(), 1u) << text;
+    EXPECT_EQ(symbol_name(rt.variables[0].first), "X");
+    const term::TermRef value = s.arg(s.deref(rt.term), 1);
+    EXPECT_EQ("X=" + binding_value_text(s, value), text);
+  }
+  const auto two = ip.solve("p(X,Y)");
+  ASSERT_EQ(two.solutions.size(), 1u);
+  EXPECT_EQ(two.solutions[0].text, "X='A',Y=b");
 }
 
 TEST(Search, RecursiveListProgram) {

@@ -326,6 +326,33 @@ TEST(ServiceBudget, SolutionCapReportsSolutionLimit) {
   EXPECT_EQ(r.answers.size(), 1u);
 }
 
+TEST(ServiceBudget, DepthCutoffIsTruncatedAndNeverCached) {
+  // `p(X),...,p(X)` against `p(1).` resolves one conjunct per level, so
+  // 1,000 conjuncts run into the default depth limit of 512.
+  const auto conjuncts = [](int n) {
+    std::string q = "p(X)";
+    for (int i = 1; i < n; ++i) q += ",p(X)";
+    return q;
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    QueryService svc;
+    svc.consult("p(1).");
+    const auto shallow = svc.query({.text = conjuncts(100), .workers = workers});
+    EXPECT_EQ(shallow.status, QueryStatus::Ok) << "workers " << workers;
+    EXPECT_EQ(shallow.answers, std::vector<std::string>{"X=1"});
+    for (int round = 0; round < 2; ++round) {
+      const auto deep = svc.query({.text = conjuncts(1000), .workers = workers});
+      EXPECT_EQ(deep.status, QueryStatus::Truncated) << "workers " << workers;
+      EXPECT_EQ(deep.outcome, search::Outcome::Exhausted);
+      EXPECT_FALSE(deep.from_cache);
+      EXPECT_NE(deep.error.find("depth limit 512"), std::string::npos)
+          << deep.error;
+    }
+    EXPECT_EQ(svc.stats().truncated, 2u);
+    EXPECT_EQ(svc.stats().cache_hits, 0u);
+  }
+}
+
 TEST(SearchDeadline, PassedDeadlineStopsImmediately) {
   engine::Interpreter ip;
   ip.consult_string(workloads::figure1_family());
@@ -348,53 +375,6 @@ TEST(SearchDeadline, ParallelDeadlineReportsBudgetExceeded) {
   const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
   EXPECT_EQ(r.outcome, search::Outcome::BudgetExceeded);
   EXPECT_FALSE(r.exhausted);
-}
-
-// -------------------------------------------------------------- admission --
-
-TEST(Admission, ShedsWhenRunningAndQueueFull) {
-  service::AdmissionGate gate(1, 0);
-  ASSERT_TRUE(gate.try_enter());
-  EXPECT_FALSE(gate.try_enter());  // no slot: not admitted, not counted
-  EXPECT_FALSE(gate.try_queue());  // no queue → shed
-  gate.leave();
-  EXPECT_TRUE(gate.try_enter());
-  gate.leave();
-  const auto s = gate.stats();
-  EXPECT_EQ(s.admitted, 2u);
-  EXPECT_EQ(s.rejected, 1u);
-  EXPECT_EQ(s.running, 0u);
-}
-
-TEST(Admission, QueuedWaiterIsPromotedAfterLeave) {
-  service::AdmissionGate gate(1, 4);
-  ASSERT_TRUE(gate.try_enter());
-  ASSERT_TRUE(gate.try_queue());
-  EXPECT_EQ(gate.stats().waiting, 1u);
-  EXPECT_FALSE(gate.promote_queued());  // the only slot is still taken
-  gate.leave();
-  EXPECT_TRUE(gate.promote_queued());
-  EXPECT_FALSE(gate.promote_queued());  // nobody left waiting
-  gate.leave();
-  const auto s = gate.stats();
-  EXPECT_EQ(s.admitted, 2u);
-  EXPECT_EQ(s.queued, 1u);
-  EXPECT_EQ(s.waiting, 0u);
-  EXPECT_EQ(s.running, 0u);
-}
-
-TEST(Admission, AbandonedWaiterFreesItsQueuePlace) {
-  service::AdmissionGate gate(1, 1);
-  ASSERT_TRUE(gate.try_enter());
-  ASSERT_TRUE(gate.try_queue());
-  EXPECT_FALSE(gate.try_queue());  // queue of one is full
-  gate.abandon_queued();
-  EXPECT_TRUE(gate.try_queue());
-  gate.abandon_queued();
-  gate.leave();
-  const auto s = gate.stats();
-  EXPECT_EQ(s.rejected, 1u);
-  EXPECT_EQ(s.waiting, 0u);
 }
 
 // --------------------------------------------- O(1) frontier min_bound fix --
