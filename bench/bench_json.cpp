@@ -89,9 +89,6 @@ struct Entry {
   std::uint64_t steals_remote = 0;
   std::uint64_t claim_wait_spins = 0;
   std::uint64_t claim_wait_us = 0;
-  std::uint64_t mailbox_parked = 0;
-  std::uint64_t mailbox_drained = 0;
-  std::uint64_t stale_refreshes = 0;
 
   [[nodiscard]] double nodes_per_sec() const {
     return secs > 0.0 ? static_cast<double>(nodes) / secs : 0.0;
@@ -152,10 +149,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
       out << ", \"steals_local\": " << e.steals_local
           << ", \"steals_remote\": " << e.steals_remote
           << ", \"claim_wait_spins\": " << e.claim_wait_spins
-          << ", \"claim_wait_us\": " << e.claim_wait_us
-          << ", \"mailbox_parked\": " << e.mailbox_parked
-          << ", \"mailbox_drained\": " << e.mailbox_drained
-          << ", \"stale_refreshes\": " << e.stale_refreshes;
+          << ", \"claim_wait_us\": " << e.claim_wait_us;
     out << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   out << "}\n";
@@ -223,7 +217,7 @@ Entry run_lookup_batch(const std::string& name, const std::string& program,
 Entry run_parallel(const std::string& name, const std::string& program,
                    const std::string& query, unsigned workers,
                    std::size_t max_nodes, std::size_t local_capacity,
-                   bool adaptive, bool claim_mailboxes = true) {
+                   bool adaptive) {
   engine::Interpreter ip;
   ip.consult_string(program);
   parallel::ParallelOptions po;
@@ -232,7 +226,6 @@ Entry run_parallel(const std::string& name, const std::string& program,
   po.limits.max_nodes = max_nodes;
   po.local_capacity = local_capacity;
   po.adaptive_capacity = adaptive;
-  po.claim_mailboxes = claim_mailboxes;
   parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
   // Untimed warm-up: repopulates the pages the previous entry's teardown
   // returned to the OS, so the timed run measures the scheduler rather
@@ -259,9 +252,6 @@ Entry run_parallel(const std::string& name, const std::string& program,
   e.steals_remote = r.network.steals_remote;
   e.claim_wait_spins = r.network.claim_wait_spins;
   e.claim_wait_us = r.network.claim_wait_us;
-  e.mailbox_parked = r.network.mailbox_parked;
-  e.mailbox_drained = r.network.mailbox_drained;
-  e.stale_refreshes = r.network.stale_refreshes;
   return e;
 }
 
@@ -696,56 +686,20 @@ int main(int argc, char** argv) {
                               /*adaptive=*/true));
   write_json(dir + "BENCH_spill.json", sp);
 
-  // Locality-aware scheduling headline: the same deep binary-countdown
-  // under copy-on-steal, with the bounded claim-wait spin vs claim-wait
-  // mailboxes. Mailboxes eliminate the thief-side spin/sleep on claimed
-  // handles by construction (claim_wait_spins collapses to ~0) while the
-  // claim→deposit latency (claim_wait_us) overlaps useful scanning; the
+  // Locality-aware scheduling: the same deep binary-countdown under
+  // copy-on-steal with the claim-wait spin on claimed handles. The
   // local/remote steal split records how victim scans respect the node
-  // topology (all-local on single-node hosts). Adaptivity is pinned off
-  // so both modes see identical publish pressure.
+  // topology (all-local on single-node hosts). Adaptivity is pinned off so
+  // every width sees identical publish pressure.
   std::vector<Entry> numa;
   for (const unsigned w : {2u, 4u, 8u}) {
-    for (const auto [mail, tag] :
-         {std::pair{false, "_spin"}, std::pair{true, "_mailbox"}}) {
-      Entry e = run_parallel("deep_w" + std::to_string(w) + tag, deep,
-                             "probe", w, kDeepNodes, kDeepCapacity,
-                             /*adaptive=*/false, mail);
-      e.has_numa = true;
-      numa.push_back(e);
-    }
+    Entry e = run_parallel("deep_w" + std::to_string(w) + "_spin", deep,
+                           "probe", w, kDeepNodes, kDeepCapacity,
+                           /*adaptive=*/false);
+    e.has_numa = true;
+    numa.push_back(e);
   }
-  std::vector<std::pair<std::string, double>> numa_summary;
-  {
-    const Entry *spin = nullptr, *mail = nullptr;
-    std::uint64_t spin_all = 0, mail_all = 0;
-    for (const Entry& e : numa) {
-      if (e.name == "deep_w8_spin") spin = &e;
-      if (e.name == "deep_w8_mailbox") mail = &e;
-      (e.name.ends_with("_spin") ? spin_all : mail_all) += e.claim_wait_spins;
-    }
-    if (spin != nullptr && mail != nullptr) {
-      // Floor the mailbox denominators: by construction they are ~0.
-      numa_summary.emplace_back(
-          "deep_w8_spin_reduction",
-          static_cast<double>(spin->claim_wait_spins) /
-              static_cast<double>(std::max<std::uint64_t>(
-                  1, mail->claim_wait_spins)));
-      // All worker counts pooled: this is what CI gates (>= 5x) — the w8
-      // number alone rides on few enough claims that a quiet run could
-      // dip under the floor without any code change.
-      numa_summary.emplace_back(
-          "spin_reduction_all",
-          static_cast<double>(spin_all) /
-              static_cast<double>(std::max<std::uint64_t>(1, mail_all)));
-      numa_summary.emplace_back(
-          "deep_w8_mailbox_speedup",
-          spin->nodes_per_sec() > 0.0
-              ? mail->nodes_per_sec() / spin->nodes_per_sec()
-              : 0.0);
-    }
-  }
-  write_json(dir + "BENCH_numa.json", numa, numa_summary);
+  write_json(dir + "BENCH_numa.json", numa);
 
   // Serving layer: queries/sec under concurrent clients with the answer
   // cache, against the serial-cold multiset-identical baseline (16 clients'

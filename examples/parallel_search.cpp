@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     po.update_weights = false;
     po.trace = trace;
     if (trace != nullptr) {
-      // Tiny private pools: guarantee steal/spill/mailbox traffic so the
+      // Tiny private pools: guarantee steal/spill/claim traffic so the
       // exported trace shows the machinery, not idle lanes.
       po.local_capacity = 1;
     }

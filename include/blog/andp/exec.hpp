@@ -52,7 +52,8 @@ struct GroupReport {
 };
 
 struct AndParallelResult {
-  /// Rendered solutions "X=a,Y=b" (sorted), matching the sequential engine.
+  /// Rendered solutions (sorted), as the sequential engine writes them:
+  /// "X=a,Y=b", or the goals' instances when the query names no variable.
   std::vector<std::string> solutions;
   std::vector<GroupReport> groups;
   std::size_t shared_vars = 0;

@@ -30,9 +30,8 @@ struct WorkItem {
   std::size_t id = 0;     ///< item index == fork tag == answer wrapper id
   std::size_t group = 0;  ///< owning independence group
   std::vector<std::size_t> goal_indices;  ///< conjunction goals covered
-  /// The item's schema: the query's named variables this item binds, in
-  /// query-variable order (pairs of name and the variable in the parse
-  /// store).
+  /// The item's schema: the plan's columns this item binds, in query
+  /// order (pairs of name and term in the parse store).
   std::vector<std::pair<Symbol, term::TermRef>> vars;
   search::Query query;  ///< answer template $andp(id, $ans(V...))
   /// Static analysis proved every goal grounds its arguments on success,
@@ -45,6 +44,11 @@ struct WorkItem {
 
 /// The fork decision for one conjunction.
 struct ForkPlan {
+  /// The join schema, in query order: the query's named variables, or —
+  /// for a conjunction that names none, whose answer is its own instance
+  /// (engine::parse_query) — one column per goal holding its instance.
+  std::vector<std::pair<Symbol, term::TermRef>> columns;
+  bool instances = false;  ///< `columns` are goal instances
   std::vector<WorkItem> items;
   IndependenceAnalysis analysis;  ///< the grouping (groups + shared vars)
   /// The compile-time verdict alone proved independence (no run-time scan).
@@ -66,8 +70,22 @@ bool statically_all_ground(const engine::Interpreter& ip, const term::Store& s,
 void flatten_conjunction(const term::Store& s, term::TermRef t,
                          std::vector<term::TermRef>& out);
 
+/// The columns the goals `goal_idx` bind, in column order: each named
+/// variable occurring in them, and each of them as an instance column.
+std::vector<std::pair<Symbol, term::TermRef>> slice_columns(
+    const term::Store& store,
+    const std::vector<std::pair<Symbol, term::TermRef>>& columns,
+    const std::vector<term::TermRef>& goals,
+    std::span<const std::size_t> goal_idx, GoalVarCache& cache);
+
+/// A column's value in an answer, written as the sequential engine writes
+/// it (search::solution_text): a variable's binding, or a goal instance.
+std::string column_text(const term::Store& s, term::TermRef value,
+                        bool instance);
+
 /// Plan the fork of `goals` (parsed into `store`, named variables
-/// `query_vars` in query order). `cache` memoizes per-goal variable scans;
+/// `query_vars` in query order; none makes every goal an instance column).
+/// `cache` memoizes per-goal variable scans;
 /// `use_semi_join` splits shared-variable groups goal-per-item (builtin
 /// goals force whole-group items — they constrain sibling bindings and
 /// have no relation of their own).
@@ -83,9 +101,9 @@ struct DecodedAnswer {
   bool ground = true;               ///< every value was fully ground
 };
 
-/// Decode a $andp(Id, $ans(V...)) solution. `check_ground` = false skips
-/// the per-value groundness walk (item.assume_ground).
+/// Decode a $andp(Id, $ans(V...)) solution of a plan whose columns are
+/// goal instances when `instances` (ForkPlan::instances).
 DecodedAnswer decode_forked_answer(const search::Solution& sol,
-                                   bool check_ground = true);
+                                   bool instances = false);
 
 }  // namespace blog::andp

@@ -3,13 +3,12 @@
 /// \brief Flight recorder: lock-free per-thread ring buffers of trace events.
 ///
 /// The engine's concurrency machinery (work-stealing deques, copy-on-steal
-/// spill handles, claim-wait mailboxes, preemption ticker, the serving
-/// layer's admission queue) previously exposed only after-the-fact counter
-/// totals. The flight recorder adds the *when*: every interesting scheduler,
-/// runner, and service transition can drop a 16-byte timestamped event into
-/// a fixed-capacity ring buffer, flight-recorder style — old events are
-/// overwritten, never blocking the writer, and a dropped-event counter
-/// records how much history was lost.
+/// spill handles, the serving layer's admission queue) previously exposed
+/// only after-the-fact counter totals. The flight recorder adds the *when*:
+/// every interesting scheduler, runner, and service transition can drop a
+/// 16-byte timestamped event into a fixed-capacity ring buffer,
+/// flight-recorder style — old events are overwritten, never blocking the
+/// writer, and a dropped-event counter records how much history was lost.
 ///
 /// Design constraints, in order:
 ///
@@ -57,7 +56,6 @@ namespace blog::obs {
   X(ExpandBurst, "runner.burst", "runner")                                \
   X(NetworkTake, "runner.network_take", "runner")                         \
   X(Migrate, "runner.migrate", "runner")                                  \
-  X(Preempt, "runner.preempt", "runner")                                  \
   X(Solution, "runner.solution", "runner")                                \
   X(HandleFulfill, "spill.fulfill", "runner")                             \
   /* sched: work-stealing scheduler internals */                          \
@@ -69,9 +67,6 @@ namespace blog::obs {
   X(HandleClaim, "spill.claim", "sched")                                  \
   X(HandleGrant, "spill.grant", "sched")                                  \
   X(HandleDead, "spill.dead", "sched")                                    \
-  X(MailboxPark, "mailbox.park", "sched")                                 \
-  X(MailboxDrain, "mailbox.drain", "sched")                               \
-  X(StaleRefresh, "sched.stale_refresh", "sched")                         \
   X(StarveOn, "sched.starving_on", "sched")                               \
   X(StarveOff, "sched.starving_off", "sched")                             \
   /* service: QueryService request lifecycle */                           \

@@ -59,26 +59,6 @@ struct ParallelOptions {
   /// ignored). Placement and victim bias work without pinning, but pinned
   /// workers actually keep their deques node-local.
   bool numa_pin_workers = true;
-  /// Claim-wait mailboxes: a thief that wins a spill handle's claim CAS
-  /// parks the handle in its private mailbox and keeps scanning other
-  /// victims while the owner's copy is in flight, draining deposits at the
-  /// next acquire / D-threshold boundary. Off = the bounded spin/sleep
-  /// wait on the claimed handle.
-  bool claim_mailboxes = true;
-  /// Most claims a thief may hold in its mailbox at once; at the cap the
-  /// thief backs off and drains instead of forcing more owners into deep
-  /// copies (matters when workers outnumber cores).
-  std::uint32_t mailbox_claim_limit = 1;
-  /// Stale-bound refresh: a worker whose deque's published minimum has
-  /// not been re-published for this long proactively sweeps resolved
-  /// copy-on-steal entries and re-publishes at its next expansion
-  /// boundary, so idle scans stop chasing dead bounds. 0 disables.
-  std::chrono::microseconds stale_refresh_interval{500};
-  /// Period of the preemption timer that lets §6's D-threshold check run
-  /// *inside* long builtin bursts instead of only at expansion boundaries
-  /// (a ticker thread bumps an epoch; runners yield mid-burst when it
-  /// changes). 0 disables the timer.
-  std::chrono::microseconds preempt_interval{500};
   search::ExpanderOptions expander;  ///< resolution-step options
   /// Cooperative cancellation: when non-null and set, every worker stops
   /// at its next expansion boundary and the solve returns
@@ -90,8 +70,7 @@ struct ParallelOptions {
   /// Solution reference is valid only during the call.
   std::function<void(const search::Solution&)> on_solution;
   /// Flight recorder (obs/trace.hpp). When non-null, workers and the
-  /// scheduler record steal/spill/migration/preemption/solution events
-  /// into it; null (the default) costs one branch per site. The sink must
+  /// scheduler record steal/spill/migration/solution events into it; null (the default) costs one branch per site. The sink must
   /// outlive the solve call.
   obs::TraceSink* trace = nullptr;
 };
@@ -112,8 +91,6 @@ struct WorkerStats {
   std::uint64_t handles_reclaimed = 0;  ///< reclaimed in place: zero copies
   std::uint64_t handles_granted = 0;    ///< claimed by a thief: one copy
   std::uint64_t handles_migrated = 0;   ///< left with a detach_all batch
-  /// Timer-driven D-threshold checks that interrupted a builtin burst.
-  std::uint64_t preemptions = 0;
   /// Trail entries this worker's runner wrote over its lifetime. The
   /// static-analysis commit path drives this down: committed ground-fact
   /// matches write no trail at all.

@@ -25,8 +25,7 @@
 /// `queue_limit` bounds the jobs waiting for one to start. A JobTicket is
 /// the client handle: wait()/poll(), queue_position(), cancel()
 /// (cooperative: workers stop at their next expansion boundary), and
-/// streamed answers via JobRequest::on_answer. One preemption ticker
-/// thread is shared by every job instead of one per solve.
+/// streamed answers via JobRequest::on_answer.
 #pragma once
 
 #include <condition_variable>
@@ -56,10 +55,6 @@ struct ExecutorOptions {
   std::size_t max_running_jobs = 0;
   bool numa_aware = true;       ///< place workers round-robin across nodes
   bool numa_pin_workers = true; ///< pin each worker to its node's CPUs
-  /// Shared preemption ticker period (one thread for the whole pool; jobs
-  /// with a builtin evaluator and a non-zero per-job preempt_interval get
-  /// the epoch). 0 disables the ticker thread.
-  std::chrono::microseconds preempt_interval{500};
   /// Metrics registry for executor gauges/counters
   /// (executor.jobs_queued/jobs_running/workers_busy, executor.jobs_*).
   /// May be null (no metrics). Must outlive the executor.
@@ -142,8 +137,10 @@ class JobTicket {
 class Executor {
  public:
   explicit Executor(ExecutorOptions opts = {});
-  /// Cancels queued jobs, stops running ones (cooperatively), joins the
-  /// pool. Every outstanding ticket completes (Cancelled) before return.
+  /// Cancels queued jobs, stops running ones (cooperatively, at their
+  /// workers' next expansion boundary), joins the pool. Every outstanding
+  /// ticket completes before return; a job the teardown stopped completes
+  /// Cancelled.
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -186,19 +183,16 @@ class Executor {
   mutable std::mutex mu_;             // guards queue_ + counters below
   std::condition_variable cv_;        // pool workers wait here
   std::deque<std::shared_ptr<detail::JobState>> queue_;
+  // Jobs started (a slot claimed) whose last attached worker has not yet
+  // returned; the destructor stops them.
+  std::vector<std::shared_ptr<detail::JobState>> running_;
   bool stop_ = false;
-  std::size_t running_jobs_ = 0;
   std::size_t busy_workers_ = 0;
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t rejected_ = 0;
   std::atomic<std::uint64_t> next_job_id_{0};
-
-  // Shared preemption ticker (one thread per pool, not one per solve).
-  std::atomic<std::uint64_t> preempt_epoch_{0};
-  std::atomic<bool> ticker_stop_{false};
-  std::thread ticker_;
 
   std::vector<std::thread> pool_;
 

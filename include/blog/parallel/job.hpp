@@ -92,14 +92,12 @@ void report_stop(std::atomic<int>& cause, search::Outcome o);
 ///
 /// `slot` is the worker's index *within the job's scheduler* (0..slots-1);
 /// `lane` is the flight-recorder lane (the pool worker id under the
-/// Executor, == slot under ParallelEngine). `preempt_epoch` may be null
-/// (no mid-burst preemption). Reentrant: many workers may run this
-/// concurrently against the same JobControls/scheduler, each with a
+/// Executor, == slot under ParallelEngine). Reentrant: many workers may run
+/// this concurrently against the same JobControls/scheduler, each with a
 /// distinct slot.
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
                     WorkStealingScheduler& net, unsigned slot,
                     std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
-                    JobControls& ctl,
-                    const std::atomic<std::uint64_t>* preempt_epoch);
+                    JobControls& ctl);
 
 }  // namespace blog::parallel

@@ -20,29 +20,15 @@
 /// claim CAS, at which point the owner materializes the checkpointed state
 /// and deposits it in the handle. Owner-reclaimed spills never copy.
 ///
-/// Three locality/latency refinements close the gap to the paper's
-/// topology-aware machine (see docs/ARCHITECTURE.md for the protocol
-/// walk-through):
-///
-///   - **NUMA-aware victim choice.** Every deque is tagged with the NUMA
-///     node its worker is placed on (round-robin over the detected
-///     topology, topology.hpp). Victim scans prefer the minimum-holding
-///     deque on the scanner's own node and cross the interconnect only
-///     when a remote minimum beats the best local one by more than a
-///     configurable locality bias. Single-node hosts take the exact
-///     pre-NUMA scan.
-///   - **Claim-wait mailboxes.** A thief that wins a handle's claim CAS no
-///     longer spins until the owner deposits the copy: the claimed handle
-///     is parked in the thief's private mailbox and the thief keeps
-///     scanning other victims while the materialization is in flight. The
-///     mailbox is drained — ready deposits consumed, surplus re-parked
-///     into the thief's deque so the network sees it — at the next
-///     acquire/D-threshold boundary.
-///   - **Stale-bound refresh.** A deque whose published minimum has not
-///     been re-published for longer than a threshold is swept by its owner
-///     at the next expansion boundary (maintain()), discarding
-///     resolved copy-on-steal entries and re-publishing from live ones, so
-///     idle scans stop chasing dead bounds.
+/// A thief that wins a handle's claim CAS waits on the handle until the
+/// owner deposits the copy at its next expansion boundary (or kills the
+/// handle on stop). Victim scans are **NUMA-aware**: every deque is tagged
+/// with the NUMA node its worker is placed on (round-robin over the
+/// detected topology, topology.hpp), and scans prefer the minimum-holding
+/// deque on the scanner's own node, crossing the interconnect only when a
+/// remote minimum beats the best local one by more than a configurable
+/// locality bias. Single-node hosts take the exact pre-NUMA scan. See
+/// docs/ARCHITECTURE.md for the protocol walk-through.
 #pragma once
 
 #include <atomic>
@@ -85,15 +71,10 @@ struct SchedulerStats {
   std::uint64_t handle_claims = 0;      ///< thief claim CASes won
   std::uint64_t handle_grants = 0;      ///< claims that yielded a node
   std::uint64_t stale_discards = 0;     ///< dead/reclaimed entries dropped
-  /// Claim-wait traffic. With mailboxes on, spins stay ~0 by construction
-  /// (the thief never waits); `claim_wait_us` then measures the in-flight
-  /// latency from claim to drain rather than blocked wall time.
+  // Claim-wait traffic: a thief blocks on a claimed handle until the
+  // owner's deposit lands.
   std::uint64_t claim_wait_spins = 0;   ///< yield/sleep iterations while waiting
   std::uint64_t claim_wait_us = 0;      ///< µs from claim won to node in hand
-  std::uint64_t mailbox_parked = 0;     ///< claims parked into thief mailboxes
-  std::uint64_t mailbox_drained = 0;    ///< deposits consumed from mailboxes
-  /// Proactive owner-side re-publications of a stale published minimum.
-  std::uint64_t stale_refreshes = 0;
   /// Total on_expanded() calls — chains consumed engine-wide. Unlike
   /// ParallelResult::WorkerStats (plain structs populated only at join),
   /// this is live-safe: repl `:stats` and trace flushes read it mid-run.
@@ -123,30 +104,16 @@ struct SchedulerTuning {
   /// Bound units a *remote-node* published minimum must beat the best
   /// same-node candidate by before a scan crosses the interconnect.
   double locality_bias = 1.0;
-  /// Park won handle claims in the thief's mailbox (keep scanning while
-  /// the owner's copy is in flight) instead of spin/sleep-waiting.
-  bool claim_mailboxes = true;
-  /// Most claims a thief may hold in its mailbox at once. The cap keeps
-  /// an idle thief on an oversubscribed host from hoovering up every
-  /// published handle (each claim forces its owner into a deep copy)
-  /// before any owner gets CPU time to fulfill; at the cap the thief
-  /// backs off and drains instead of claiming further.
-  std::uint32_t mailbox_claim_limit = 1;
-  /// Re-publish a deque whose published minimum is older than this many
-  /// microseconds at the owner's next maintain() boundary. 0 disables
-  /// the stale-bound refresh.
-  std::uint32_t stale_refresh_us = 500;
   /// Flight recorder (see obs/trace.hpp). When non-null the scheduler
-  /// records steal/spill/claim/mailbox/stale-refresh/starvation events
-  /// into it; null (the default) compiles every site down to one branch.
+  /// records steal/spill/claim/starvation events into it; null (the
+  /// default) compiles every site down to one branch.
   obs::TraceSink* trace = nullptr;
 };
 
 /// Work-stealing scheduler: per-worker bounded deques, lock-free published
 /// minima, NUMA-biased steal-half, counter-based distributed termination,
-/// copy-on-steal spill handles with claim-wait mailboxes, adaptive
-/// per-worker capacities, and owner-driven stale-bound refresh. Worker ids
-/// address the per-worker deques.
+/// copy-on-steal spill handles and adaptive per-worker capacities. Worker
+/// ids address the per-worker deques.
 class WorkStealingScheduler {
 public:
   /// `deque_capacity` seeds each worker's deque bound; a push that
@@ -175,10 +142,6 @@ public:
   /// off.
   [[nodiscard]] std::size_t local_capacity_hint(unsigned worker,
                                                 std::size_t fallback) const;
-
-  /// Periodic owner-side housekeeping, called by `worker`'s loop once per
-  /// expansion boundary: the stale-bound refresh.
-  void maintain(unsigned worker);
 
   /// §6's D-threshold test: if some queued chain's bound is lower than
   /// `local_min - d`, acquire it (the caller migrates its pool out first
@@ -241,12 +204,6 @@ private:
       return a.seq > b.seq;
     }
   };
-  // A claimed copy-on-steal handle parked in its thief's mailbox while
-  // the owner's materialization is in flight.
-  struct MailEntry {
-    std::shared_ptr<search::SpillHandle> handle;
-    std::int64_t claimed_at_us;  // steady-clock stamp of the claim win
-  };
   // One worker's deque plus its published (lock-free readable) summary
   // and adaptive bounds. Padded so scans of neighbours' summaries never
   // false-share.
@@ -258,9 +215,6 @@ private:
     // NUMA node this worker is placed on; victim scans read it lock-free
     // alongside the min/size summary.
     std::uint32_t node = 0;
-    // Steady-clock stamp (µs) of the last publish(); the owner's
-    // maintain() sweeps + re-publishes when it goes stale.
-    std::atomic<std::int64_t> pub_stamp_us{0};
     // Adaptive bounds, published alongside the size/min summary.
     std::atomic<std::uint32_t> cap{64};
     std::atomic<std::uint32_t> local_hint{8};
@@ -268,16 +222,11 @@ private:
     // since its last spill — the steal-pressure sample source.
     std::atomic<std::uint32_t> thefts_since_push{0};
     float pressure = 0.5f;  // EWMA, owner-updated under `mu`
-    // Claim-wait mailbox: handles this worker (as thief) has claimed and
-    // is waiting on. Touched only by the owning worker's thread — never
-    // locked. Owners communicate exclusively through the handle states.
-    std::vector<MailEntry> mail;
   };
 
   enum class ClaimWait {
     Blocking,  // idle acquire: wait for the owner (stop-aware)
     Bounded,   // D-threshold probe: bounded spin, then un-claim
-    Mailbox,   // park the claim in the thief's mailbox, keep scanning
   };
 
   void publish(Deque& d);
@@ -285,8 +234,8 @@ private:
   /// `d.mu` by the worker that owns `d` while spilling.
   void adapt(Deque& d);
   /// Drop entries whose lazy handle was already resolved elsewhere
-  /// (owner-reclaimed or dead). Called under `d.mu`; returns #removed.
-  std::size_t sweep_stale_locked(Deque& d);
+  /// (owner-reclaimed or dead). Called under `d.mu`.
+  void sweep_stale_locked(Deque& d);
   /// Move out the arbitrary back half of a locked deque (steal-half /
   /// overflow shedding); the minimum stays behind at the heap front.
   std::vector<Entry> shed_half_locked(Deque& d);
@@ -311,27 +260,16 @@ private:
   /// half of the remainder into the thief's deque (idle steal-half).
   /// Returns nullopt if the victim is empty, no longer beats
   /// `require_below` (stale published minimum), or a lazy target was lost
-  /// to its owner / un-claimed / parked in the mailbox — callers rescan.
-  /// `claim_capped` (may be null) is set when the best entry was a
-  /// claimable handle but the thief's mailbox is at its claim cap: the
-  /// caller should back off and drain rather than hot-rescan the victim.
+  /// to its owner / un-claimed — callers rescan.
   std::optional<search::Node> steal_from(unsigned thief, unsigned victim,
                                          double require_below, bool bulk,
-                                         ClaimWait wait,
-                                         bool* claim_capped = nullptr);
+                                         ClaimWait wait);
   /// Wait on a claimed handle until the owner deposits the node (kReady),
   /// kills it (kDead), or — in Bounded mode — the spin budget runs out
-  /// and the claim is reverted and re-parked on `thief`'s deque. In
-  /// Mailbox mode the handle is parked in `thief`'s mailbox instead and
-  /// nullopt returns immediately (the thief keeps scanning).
+  /// and the claim is reverted and re-parked on `thief`'s deque.
   std::optional<search::Node> await_claim(
       unsigned thief, std::shared_ptr<search::SpillHandle> h,
       std::uint64_t entry_seq, ClaimWait wait);
-  /// Drain `self`'s mailbox: drop dead entries, consume the best ready
-  /// deposit whose bound is strictly below `require_below`, re-park every
-  /// other ready deposit into `self`'s deque so the network sees it.
-  std::optional<search::Node> drain_mailbox(unsigned self,
-                                            double require_below);
 
   std::vector<std::unique_ptr<Deque>> deques_;
   std::size_t capacity_seed_;
@@ -347,8 +285,7 @@ private:
   std::atomic<std::uint64_t> steals_local_{0}, steals_remote_{0};
   std::atomic<std::uint64_t> handles_published_{0}, handle_claims_{0},
       handle_grants_{0}, stale_discards_{0};
-  std::atomic<std::uint64_t> claim_wait_spins_{0}, claim_wait_us_{0},
-      mailbox_parked_{0}, mailbox_drained_{0}, stale_refreshes_{0};
+  std::atomic<std::uint64_t> claim_wait_spins_{0}, claim_wait_us_{0};
   std::atomic<std::uint64_t> expansions_{0};
 };
 

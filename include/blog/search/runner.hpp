@@ -44,13 +44,9 @@ namespace blog::search {
 /// activating/rolling back a choice and a thief stealing it: exactly one
 /// side wins, and a thief that loses treats the deque entry as stale.
 ///
-/// How the thief waits out kClaimed→kReady is the scheduler's choice
-/// (the owner-side protocol above is identical either way): the legacy
-/// claim-wait spins/sleeps on the handle until the deposit lands, while
-/// **claim-wait mailboxes** (the default) park the claimed handle in the
-/// thief's private mailbox so the thief keeps scanning other victims and
-/// consumes the deposit at a later acquire boundary. See
-/// docs/ARCHITECTURE.md for both transition tables.
+/// The thief waits out kClaimed→kReady by spinning/sleeping on the handle
+/// until the owner's deposit lands at its next expansion boundary. See
+/// docs/ARCHITECTURE.md for the transition table.
 struct SpillHandle {
   enum State : std::uint32_t {
     kAvailable,   ///< published; owner reclaim and thief claim race the CAS
@@ -145,11 +141,6 @@ public:
   struct StepResult {
     NodeOutcome outcome = NodeOutcome::Failure;  ///< how the step ended
     std::size_t children = 0;  ///< pending choices pushed (Expanded only)
-    /// True when a preemption epoch tick interrupted a builtin burst before
-    /// the resolution step ran: the state is intact (`has_state()` stays
-    /// true) and the caller may run its D-threshold check, then call
-    /// expand() again to resume where the burst left off.
-    bool preempted = false;
     /// Expanded with zero pushed choices *and a live state*: the static-
     /// analysis commit path resolved the goal in place (no choice point,
     /// no checkpoint) and the runner is ready for the next expand(). The
@@ -169,15 +160,7 @@ public:
   /// counted in `stats`; no `cells_copied` accrue here. On a terminal
   /// outcome the state keeps its post-builtin goals/chain for reporting
   /// and `has_state()` turns false.
-  ///
-  /// `preempt_epoch`/`epoch_seen`: §6's D-threshold normally runs only at
-  /// expansion boundaries; a timer thread bumping `preempt_epoch` makes a
-  /// long builtin burst yield between builtin evaluations (returning
-  /// `preempted`) so the caller can migrate mid-burst. `*epoch_seen` is
-  /// the caller's per-worker record of the last epoch it acted on.
-  StepResult expand(ExpandStats* stats = nullptr,
-                    const std::atomic<std::uint64_t>* preempt_epoch = nullptr,
-                    std::uint64_t* epoch_seen = nullptr);
+  StepResult expand(ExpandStats* stats = nullptr);
 
   /// Enable the static-analysis commit path: goals whose predicate the
   /// analysis proved an all-ground-fact bucket with at most one candidate
@@ -237,12 +220,6 @@ public:
   /// Compact the current (goal-free) state's answer into an independent
   /// solution record.
   Solution extract_solution(ExpandStats* stats = nullptr);
-
-  /// Materialize the *current* state (mid-derivation, possibly mid-builtin
-  /// burst) as an independent node and abandon it in place — the migration
-  /// unit of a timer-preempted D-threshold hand-off. Pending choices are
-  /// untouched.
-  DetachedNode detach_state(ExpandStats* stats = nullptr);
 
   /// Discard the current state without extracting anything (an over-limit
   /// solution dropped before publication). Pending choices are untouched.

@@ -202,8 +202,10 @@ public:
   explicit QueryService(const engine::Interpreter& seed,
                         ServiceOptions opts = {});
 
-  /// Drains the executor: running jobs are cancelled cooperatively, and
-  /// still-queued tickets complete with Cancelled before it returns.
+  /// Drains the executor: running jobs stop at their workers' next
+  /// expansion boundary and queued ones never start. Every ticket the
+  /// teardown stops completes Cancelled ("service shutting down") before
+  /// it returns.
   ~QueryService();
 
   /// Copy-on-write consult: publishes a new snapshot (epoch bump) and
@@ -296,8 +298,8 @@ private:
   engine::StandardBuiltins builtins_;
   AnswerCache cache_;
   std::unique_ptr<parallel::Executor> executor_;
-  // Set by the destructor: queued jobs the pool then cancels are shutdown
-  // casualties, not client cancels.
+  // Set by the destructor: queued and running jobs the pool then cancels
+  // are shutdown casualties, not client cancels.
   std::atomic<bool> closing_{false};
 
   // All request counters live in the registry; the bound references keep

@@ -17,8 +17,9 @@ Symbol answer_functor() {
   return s;
 }
 
-/// Solve `goals` (in `store`) for the named variables in `vars`, returning
-/// a relation with one row per solution plus the solve's outcome.
+/// Solve `goals` (in `store`) for the columns in `vars` (goal instances
+/// when `instances`), returning a relation with one row per solution plus
+/// the solve's outcome.
 struct RelationResult {
   Relation rel;
   std::size_t nodes = 0;
@@ -30,7 +31,7 @@ RelationResult solve_to_relation(
     engine::Interpreter& ip, const term::Store& store,
     const std::vector<term::TermRef>& goals,
     const std::vector<std::pair<Symbol, term::TermRef>>& vars,
-    const search::SearchOptions& opts) {
+    const search::SearchOptions& opts, bool instances) {
   const bool assume_ground = statically_all_ground(
       ip, store, goals, opts.expander.static_analysis);
   RelationResult out;
@@ -57,7 +58,7 @@ RelationResult solve_to_relation(
         const term::TermRef v = sol.store.deref(sol.store.arg(a, i));
         if (!assume_ground && !term::is_ground(sol.store, v))
           out.all_ground = false;
-        row.push_back(search::binding_value_text(sol.store, v));
+        row.push_back(column_text(sol.store, v, instances));
       }
     }
     out.rel.rows.push_back(std::move(row));
@@ -75,18 +76,19 @@ Relation item_relation(const WorkItem& item,
   return r;
 }
 
-/// Render `combined` rows as "X=a,Y=b" in query-variable order (matching
-/// the sequential engine), sorted.
-void render_solutions(const Relation& combined,
-                      const std::vector<std::pair<Symbol, term::TermRef>>& qvars,
+/// Render `combined` rows as the sequential engine writes the answer
+/// template, sorted: "X=a,Y=b" over the named variables in query order,
+/// or the goals' instances "p(1),q(2)" when the query names none.
+void render_solutions(const Relation& combined, const ForkPlan& plan,
                       std::vector<std::string>& out) {
   for (const auto& row : combined.rows) {
     std::string text;
-    for (const auto& [name, v] : qvars) {
+    for (const auto& [name, v] : plan.columns) {
       const auto col = combined.column(name);
       if (col < 0) continue;
       if (!text.empty()) text += ",";
-      text += symbol_name(name) + "=" + row[static_cast<std::size_t>(col)];
+      if (!plan.instances) text += symbol_name(name) + "=";
+      text += row[static_cast<std::size_t>(col)];
     }
     if (text.empty()) text = "true";
     out.push_back(std::move(text));
@@ -104,34 +106,12 @@ void apply_solution_limit(AndParallelResult& out, std::size_t max_solutions) {
   out.outcome = search::Outcome::SolutionLimit;
 }
 
-/// The query-variable slice covered by one group (union of its goals'
-/// variables, query order) — the fallback re-solve schema.
-std::vector<std::pair<Symbol, term::TermRef>> group_vars(
-    const term::Store& store,
-    const std::vector<std::pair<Symbol, term::TermRef>>& qvars,
-    const std::vector<term::TermRef>& goals,
-    const std::vector<std::size_t>& group, GoalVarCache& cache) {
-  std::vector<std::pair<Symbol, term::TermRef>> vs;
-  for (const auto& [name, v] : qvars) {
-    const term::TermRef dv = store.deref(v);
-    for (const std::size_t gi : group) {
-      const auto& gv = cache.vars(goals[gi]);
-      if (std::find(gv.begin(), gv.end(), dv) != gv.end()) {
-        vs.emplace_back(name, v);
-        break;
-      }
-    }
-  }
-  return vs;
-}
-
 /// Pre-unification execution: each group solved by its own sequential
 /// engine run (kept for regression comparison). Limits are threaded
 /// across groups — the node budget is global, and a group solve that ends
 /// on anything but Exhausted propagates its outcome instead of joining a
 /// partial relation.
 void solve_legacy(engine::Interpreter& ip, const term::Store& store,
-                  const std::vector<std::pair<Symbol, term::TermRef>>& qvars,
                   const std::vector<term::TermRef>& goals, GoalVarCache& cache,
                   const ForkPlan& plan, const AndParallelOptions& opts,
                   AndParallelResult& out) {
@@ -162,7 +142,7 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
 
     std::vector<term::TermRef> ggoals;
     for (const std::size_t gi : group) ggoals.push_back(goals[gi]);
-    const auto gvars = group_vars(store, qvars, goals, group, cache);
+    const auto gvars = slice_columns(store, plan.columns, goals, group, cache);
 
     Relation grel;
     const auto& item_ids = plan.group_items[g];
@@ -173,7 +153,7 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
       for (const std::size_t id : item_ids) {
         const WorkItem& item = plan.items[id];
         auto rr = solve_to_relation(ip, store, {goals[item.goal_indices[0]]},
-                                    item.vars, group_opts());
+                                    item.vars, group_opts(), plan.instances);
         grep.nodes_expanded += rr.nodes;
         if (!check(rr)) {
           out.solutions.clear();
@@ -191,7 +171,8 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
           grel = semi_join_then_join(grel, rels[r], &out.join);
       } else {
         // Fall back to sequential resolution of the whole group.
-        auto rr = solve_to_relation(ip, store, ggoals, gvars, group_opts());
+        auto rr = solve_to_relation(ip, store, ggoals, gvars, group_opts(),
+                                    plan.instances);
         grep.nodes_expanded += rr.nodes;
         if (!check(rr)) {
           out.solutions.clear();
@@ -200,7 +181,8 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
         grel = std::move(rr.rel);
       }
     } else {
-      auto rr = solve_to_relation(ip, store, ggoals, gvars, group_opts());
+      auto rr = solve_to_relation(ip, store, ggoals, gvars, group_opts(),
+                                  plan.instances);
       grep.nodes_expanded = rr.nodes;
       if (!check(rr)) {
         out.solutions.clear();
@@ -224,7 +206,7 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
     if (combined.rows.empty() && !combined.schema.empty()) break;
   }
 
-  render_solutions(combined, qvars, out.solutions);
+  render_solutions(combined, plan, out.solutions);
 }
 
 /// Unified execution: all work items forked into one scheduler partition
@@ -232,7 +214,6 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
 /// JoinNode, combined exactly once after the partition's termination
 /// detector fires.
 void solve_unified(engine::Interpreter& ip, const term::Store& store,
-                   const std::vector<std::pair<Symbol, term::TermRef>>& qvars,
                    const std::vector<term::TermRef>& goals, GoalVarCache& cache,
                    ForkPlan& plan, const AndParallelOptions& opts,
                    AndParallelResult& out) {
@@ -248,7 +229,7 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
   // Answer sink: solutions self-identify via their $andp(Id, ...) wrapper;
   // decode and deposit. Runs under the job's solution lock.
   const auto sink = [&](const search::Solution& sol) {
-    DecodedAnswer dec = decode_forked_answer(sol);
+    DecodedAnswer dec = decode_forked_answer(sol, plan.instances);
     if (!dec.ground && !plan.items[dec.item].assume_ground &&
         plan.items[dec.item].per_goal)
       jn.mark_nonground(dec.item);
@@ -350,8 +331,9 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
           search::SearchOptions o = opts.search;
           o.limits.max_solutions = std::numeric_limits<std::size_t>::max();
           auto rr = solve_to_relation(
-              ip, store, ggoals, group_vars(store, qvars, goals, group, cache),
-              o);
+              ip, store, ggoals,
+              slice_columns(store, plan.columns, goals, group, cache), o,
+              plan.instances);
           grep.nodes_expanded += rr.nodes;
           group_nodes[g] += rr.nodes;
           grel = std::move(rr.rel);
@@ -396,7 +378,7 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
 
   obs::trace(trace, obs::client_lane(), obs::EventKind::kAndJoin,
              static_cast<std::uint32_t>(combined.rows.size()));
-  render_solutions(combined, qvars, out.solutions);
+  render_solutions(combined, plan, out.solutions);
 }
 
 }  // namespace
@@ -405,7 +387,7 @@ Relation goal_relation(engine::Interpreter& ip, const term::Store& store,
                        term::TermRef goal,
                        const std::vector<std::pair<Symbol, term::TermRef>>& vars,
                        const search::SearchOptions& opts, std::size_t* nodes) {
-  auto rr = solve_to_relation(ip, store, {goal}, vars, opts);
+  auto rr = solve_to_relation(ip, store, {goal}, vars, opts, false);
   if (nodes) *nodes = rr.nodes;
   return std::move(rr.rel);
 }
@@ -433,9 +415,9 @@ AndParallelResult solve_and_parallel(engine::Interpreter& ip,
   out.static_independent = plan.static_independent;
 
   if (opts.unified)
-    solve_unified(ip, store, rt.variables, goals, var_cache, plan, opts, out);
+    solve_unified(ip, store, goals, var_cache, plan, opts, out);
   else
-    solve_legacy(ip, store, rt.variables, goals, var_cache, plan, opts, out);
+    solve_legacy(ip, store, goals, var_cache, plan, opts, out);
 
   apply_solution_limit(out, opts.search.limits.max_solutions);
   return out;

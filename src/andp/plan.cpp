@@ -43,6 +43,31 @@ void flatten_conjunction(const term::Store& s, term::TermRef t,
   out.push_back(t);
 }
 
+std::vector<std::pair<Symbol, term::TermRef>> slice_columns(
+    const term::Store& store,
+    const std::vector<std::pair<Symbol, term::TermRef>>& columns,
+    const std::vector<term::TermRef>& goals,
+    std::span<const std::size_t> goal_idx, GoalVarCache& cache) {
+  std::vector<std::pair<Symbol, term::TermRef>> out;
+  for (const auto& [name, v] : columns) {
+    const term::TermRef dv = store.deref(v);
+    for (const std::size_t gi : goal_idx) {
+      const auto& gv = cache.vars(goals[gi]);
+      if (dv == goals[gi] || std::find(gv.begin(), gv.end(), dv) != gv.end()) {
+        out.emplace_back(name, v);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::string column_text(const term::Store& s, term::TermRef value,
+                        bool instance) {
+  return instance ? search::solution_text(s, value)
+                  : search::binding_value_text(s, value);
+}
+
 bool statically_all_ground(const engine::Interpreter& ip, const term::Store& s,
                            std::span<const term::TermRef> goals,
                            bool static_analysis) {
@@ -63,7 +88,7 @@ namespace {
 /// Build one work item over `goal_idx`, wrapping its answer template as
 /// $andp(id, $ans(V...)) so solutions self-identify at the join.
 WorkItem make_item(engine::Interpreter& ip, const term::Store& store,
-                   const std::vector<std::pair<Symbol, term::TermRef>>& query_vars,
+                   const std::vector<std::pair<Symbol, term::TermRef>>& columns,
                    const std::vector<term::TermRef>& goals, GoalVarCache& cache,
                    std::size_t id, std::size_t group,
                    std::vector<std::size_t> goal_idx, bool static_analysis) {
@@ -71,19 +96,7 @@ WorkItem make_item(engine::Interpreter& ip, const term::Store& store,
   item.id = id;
   item.group = group;
   item.goal_indices = std::move(goal_idx);
-
-  // Slice the query's named variables down to the item's goals,
-  // preserving query-variable order (the join schema).
-  for (const auto& [name, v] : query_vars) {
-    const term::TermRef dv = store.deref(v);
-    for (const std::size_t gi : item.goal_indices) {
-      const auto& gv = cache.vars(goals[gi]);
-      if (std::find(gv.begin(), gv.end(), dv) != gv.end()) {
-        item.vars.emplace_back(name, v);
-        break;
-      }
-    }
-  }
+  item.vars = slice_columns(store, columns, goals, item.goal_indices, cache);
 
   std::vector<term::TermRef> igoals;
   igoals.reserve(item.goal_indices.size());
@@ -119,6 +132,15 @@ ForkPlan plan_fork(engine::Interpreter& ip, const term::Store& store,
                    const std::vector<term::TermRef>& goals, GoalVarCache& cache,
                    ForkMode mode, bool use_semi_join, bool static_analysis) {
   ForkPlan plan;
+  plan.columns = query_vars;
+  plan.instances = query_vars.empty();
+  if (plan.instances) {
+    for (std::size_t i = 0; i < goals.size(); ++i) {
+      std::string name = "$";
+      name += std::to_string(i);
+      plan.columns.emplace_back(intern(name), goals[i]);
+    }
+  }
 
   // Grouping. Off = the whole conjunction as one group; Static = the
   // compile-time verdict first (a freshly parsed conjunction has only
@@ -153,14 +175,14 @@ ForkPlan plan_fork(engine::Interpreter& ip, const term::Store& store,
       has_builtin |= ip.builtins().is_builtin(db::pred_of(store, goals[gi]));
     if (group.size() > 1 && use_semi_join && !has_builtin) {
       for (const std::size_t gi : group) {
-        WorkItem item = make_item(ip, store, query_vars, goals, cache,
+        WorkItem item = make_item(ip, store, plan.columns, goals, cache,
                                   plan.items.size(), g, {gi}, static_analysis);
         item.per_goal = true;
         plan.group_items[g].push_back(item.id);
         plan.items.push_back(std::move(item));
       }
     } else {
-      WorkItem item = make_item(ip, store, query_vars, goals, cache,
+      WorkItem item = make_item(ip, store, plan.columns, goals, cache,
                                 plan.items.size(), g, group, static_analysis);
       plan.group_items[g].push_back(item.id);
       plan.items.push_back(std::move(item));
@@ -170,7 +192,7 @@ ForkPlan plan_fork(engine::Interpreter& ip, const term::Store& store,
 }
 
 DecodedAnswer decode_forked_answer(const search::Solution& sol,
-                                   bool check_ground) {
+                                   bool instances) {
   DecodedAnswer out;
   const term::Store& s = sol.store;
   const term::TermRef a = s.deref(sol.answer);
@@ -182,8 +204,8 @@ DecodedAnswer decode_forked_answer(const search::Solution& sol,
     out.values.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       const term::TermRef v = s.deref(s.arg(inner, i));
-      if (check_ground && !term::is_ground(s, v)) out.ground = false;
-      out.values.push_back(search::binding_value_text(s, v));
+      if (!term::is_ground(s, v)) out.ground = false;
+      out.values.push_back(column_text(s, v, instances));
     }
   }
   return out;

@@ -29,11 +29,6 @@ ParallelResult ParallelEngine::solve_forked(
   tuning.local_capacity_seed = opts_.local_capacity;
   tuning.numa_aware = opts_.numa_aware;
   tuning.locality_bias = opts_.numa_locality_bias;
-  tuning.claim_mailboxes = opts_.claim_mailboxes;
-  tuning.mailbox_claim_limit = opts_.mailbox_claim_limit;  // scheduler clamps
-  tuning.stale_refresh_us = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-      opts_.stale_refresh_interval.count(), 0,
-      std::numeric_limits<std::uint32_t>::max()));
   tuning.trace = opts_.trace;
   // Worker→node placement mirrors the scheduler's deque tagging (both
   // derive it round-robin from the same detected topology); single-node
@@ -63,25 +58,6 @@ ParallelResult ParallelEngine::solve_forked(
   cfg.update_weights = opts_.update_weights;
   cfg.trace = opts_.trace;
 
-  // Preemption ticker: bump an epoch every preempt_interval so runners
-  // yield out of long builtin bursts for a mid-burst D-threshold check.
-  std::atomic<std::uint64_t> preempt_epoch{0};
-  std::atomic<bool> ticker_stop{false};
-  std::thread ticker;
-  // Preemption can only trigger inside builtin bursts, so a program with
-  // no builtin evaluator never pays the ticker thread (one extra thread
-  // per solve otherwise — noticeable only against very short queries).
-  const bool tick =
-      opts_.preempt_interval.count() > 0 && builtins_ != nullptr;
-  if (tick) {
-    ticker = std::thread([&] {
-      while (!ticker_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(opts_.preempt_interval);
-        preempt_epoch.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
@@ -93,14 +69,10 @@ ParallelResult ParallelEngine::solve_forked(
       }
       run_job_worker(expander, weights_, net, w,
                      static_cast<std::uint16_t>(w), result.workers[w], cfg,
-                     ctl, tick ? &preempt_epoch : nullptr);
+                     ctl);
     });
   }
   for (auto& t : threads) t.join();
-  if (tick) {
-    ticker_stop.store(true, std::memory_order_relaxed);
-    ticker.join();
-  }
 
   result.solutions = std::move(ctl.solutions);
   result.network = net.stats();

@@ -28,7 +28,6 @@ struct JobState {
   JobControls ctl;
   JobConfig cfg;
   std::vector<WorkerStats> wstats;
-  const std::atomic<std::uint64_t>* epoch = nullptr;
 
   std::atomic<bool> cancel_flag{false};
 
@@ -107,35 +106,26 @@ Executor::Executor(ExecutorOptions opts) : opts_(opts) {
     g_busy_ = &opts_.metrics->gauge("executor.workers_busy");
     c_completed_ = &opts_.metrics->counter("executor.jobs_completed");
   }
-  if (opts_.preempt_interval.count() > 0) {
-    ticker_ = std::thread([this] {
-      while (!ticker_stop_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(opts_.preempt_interval);
-        preempt_epoch_.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
   pool_.reserve(pool_size_);
   for (unsigned w = 0; w < pool_size_; ++w)
     pool_.emplace_back([this, w] { worker_main(w); });
 }
 
 Executor::~Executor() {
-  std::vector<std::shared_ptr<JobState>> queued;
+  std::vector<std::shared_ptr<JobState>> live;
   {
     std::lock_guard lock(mu_);
     stop_ = true;  // workers claim nothing more
-    queued.assign(queue_.begin(), queue_.end());
+    // Every started job, then every job no worker has started.
+    live = running_;
+    for (const auto& job : queue_)
+      if (job->claimed == 0) live.push_back(job);
   }
   cv_.notify_all();
   // The client's cancel: an unstarted job completes Cancelled here, a
   // started one stops cooperatively and its own workers finalize it.
-  for (const auto& job : queued) cancel_job(job);
+  for (const auto& job : live) cancel_job(job);
   for (auto& t : pool_) t.join();
-  if (ticker_.joinable()) {
-    ticker_stop_.store(true, std::memory_order_relaxed);
-    ticker_.join();
-  }
 }
 
 JobTicket Executor::submit(JobRequest req) {
@@ -145,10 +135,6 @@ JobTicket Executor::submit(JobRequest req) {
   job->slots = std::clamp(req.slots, 1u, pool_size_);
   job->req = std::move(req);
   JobRequest& r = job->req;
-  job->epoch = opts_.preempt_interval.count() > 0 && r.builtins != nullptr &&
-                       r.opts.preempt_interval.count() > 0
-                   ? &preempt_epoch_
-                   : nullptr;
 
   // A job is scheduler-backed when it wants parallel width OR carries
   // AND-parallel child work items (forked roots need the partition's
@@ -165,12 +151,6 @@ JobTicket Executor::submit(JobRequest req) {
     // claim a locality the attachment order cannot guarantee. The pool
     // threads themselves are NUMA-placed and pinned once at startup.
     tuning.numa_aware = false;
-    tuning.claim_mailboxes = r.opts.claim_mailboxes;
-    tuning.mailbox_claim_limit = r.opts.mailbox_claim_limit;
-    tuning.stale_refresh_us =
-        static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-            r.opts.stale_refresh_interval.count(), 0,
-            std::numeric_limits<std::uint32_t>::max()));
     tuning.trace = r.opts.trace;
     job->net = std::make_unique<WorkStealingScheduler>(
         job->slots, r.opts.steal_deque_capacity, tuning);
@@ -232,9 +212,10 @@ bool Executor::cancel_job(const std::shared_ptr<detail::JobState>& job) {
       job->in_queue = false;
       orphaned = true;
       update_gauges();
-    } else if (job->net) {
-      // Running (or about to): first-stop-wins the cause, then stop the
-      // job's scheduler so workers blocked in acquire() wake and drain.
+    } else if (job->net && job->exited < job->claimed) {
+      // Running: first-stop-wins the cause, then stop the job's scheduler
+      // so workers blocked in acquire() wake and drain. A job whose workers
+      // have all returned is being finalized with the outcome it reached.
       report_stop(job->ctl.stop_cause, search::Outcome::Cancelled);
       job->net->stop();
     }
@@ -280,14 +261,14 @@ void Executor::worker_main(unsigned worker) {
       // Claim the front job's next slot; starting it needs room under the cap.
       cv_.wait(lock, [&] {
         return stop_ || (!queue_.empty() && (queue_.front()->claimed > 0 ||
-                                             running_jobs_ < max_running_));
+                                             running_.size() < max_running_));
       });
       if (stop_) return;
       job = queue_.front();
       slot = job->claimed++;
       first = slot == 0;
       if (first) {
-        ++running_jobs_;
+        running_.push_back(job);
         wake = capped && job->claimed < job->slots;
       }
       if (job->claimed >= job->slots) {
@@ -308,7 +289,7 @@ void Executor::worker_main(unsigned worker) {
       if (!job->wstats[slot].numa_node) job->wstats[slot].numa_node = numa_node;
       run_job_worker(*job->expander, *job->req.weights, *job->net, slot,
                      static_cast<std::uint16_t>(worker), job->wstats[slot],
-                     job->cfg, job->ctl, job->epoch);
+                     job->cfg, job->ctl);
     } else {
       run_sequential(*job);
     }
@@ -326,7 +307,7 @@ void Executor::worker_main(unsigned worker) {
         job->in_queue = false;
       }
       last = ++job->exited == job->claimed;
-      if (last) --running_jobs_;
+      if (last) std::erase(running_, job);
       wake = last && capped && !queue_.empty();
       update_gauges();
     }
@@ -410,7 +391,7 @@ Executor::Stats Executor::stats() const {
   s.cancelled = cancelled_;
   s.rejected = rejected_;
   s.queued = unstarted_locked();
-  s.running = running_jobs_;
+  s.running = running_.size();
   s.busy_workers = busy_workers_;
   return s;
 }
@@ -424,7 +405,7 @@ std::size_t Executor::startable_locked() const {
   // Workers claim front to back: a started job's open slots fill first,
   // and each start needs an idle worker and room under the cap.
   std::size_t idle = pool_size_ - busy_workers_;
-  std::size_t room = max_running_ - running_jobs_;
+  std::size_t room = max_running_ - running_.size();
   std::size_t n = 0;
   for (const auto& job : queue_) {
     if (idle == 0) break;
@@ -442,7 +423,7 @@ void Executor::update_gauges() {
   if (g_queued_ != nullptr)
     g_queued_->set(static_cast<double>(unstarted_locked()));
   if (g_running_ != nullptr)
-    g_running_->set(static_cast<double>(running_jobs_));
+    g_running_->set(static_cast<double>(running_.size()));
   if (g_busy_ != nullptr) g_busy_->set(static_cast<double>(busy_workers_));
 }
 

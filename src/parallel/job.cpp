@@ -1,7 +1,5 @@
 #include "blog/parallel/job.hpp"
 
-#include <algorithm>
-
 #include "blog/search/runner.hpp"
 #include "blog/search/update.hpp"
 
@@ -16,8 +14,7 @@ void report_stop(std::atomic<int>& cause, search::Outcome o) {
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
                     WorkStealingScheduler& net, unsigned slot,
                     std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
-                    JobControls& ctl,
-                    const std::atomic<std::uint64_t>* preempt_epoch) {
+                    JobControls& ctl) {
   search::Runner runner(expander);
   // The parallel loop's local bursts are depth-first and never prune
   // against an incumbent, so the commit path is always sound here; the
@@ -35,11 +32,6 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
       burst = 0;
     }
   };
-  std::uint64_t epoch_seen =
-      preempt_epoch ? preempt_epoch->load(std::memory_order_relaxed) : 0;
-  // True while re-entering expand() after a preemption yield: the
-  // expansion was already counted against the budget and ws.expanded.
-  bool resuming = false;
 
   // Push a migrated-out batch through the scheduler in one call.
   std::vector<search::DetachedNode> spill;
@@ -60,12 +52,6 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
 
   for (;;) {
     if (net.stopped()) break;
-
-    // --- scheduler housekeeping ------------------------------------------
-    // Stale-bound refresh: once per expansion boundary the scheduler may
-    // sweep this worker's deque and re-publish a minimum that has gone
-    // stale (resolved copy-on-steal entries nobody re-published over).
-    net.maintain(slot);
 
     // --- service copy-on-steal claims ------------------------------------
     // Thieves that won a claim CAS wait for us to materialize the
@@ -115,63 +101,24 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
     }
 
     // --- budget / cancellation -------------------------------------------
-    if (!resuming) {
-      if (ctl.cancel != nullptr &&
-          ctl.cancel->load(std::memory_order_relaxed)) {
-        report_stop(ctl.stop_cause, search::Outcome::Cancelled);
-        net.stop();
-        break;
-      }
-      if (ctl.node_budget.fetch_sub(1, std::memory_order_relaxed) <= 0 ||
-          search::deadline_passed(ctl.deadline)) {
-        report_stop(ctl.stop_cause, search::Outcome::BudgetExceeded);
-        net.stop();
-        break;
-      }
-      ++ws.expanded;
-      if (ctl.fork_nodes != nullptr && runner.fork_tag() < ctl.fork_tag_count)
-        ctl.fork_nodes[runner.fork_tag()].fetch_add(
-            1, std::memory_order_relaxed);
-      if (trace != nullptr) ++burst;
+    if (ctl.cancel != nullptr && ctl.cancel->load(std::memory_order_relaxed)) {
+      report_stop(ctl.stop_cause, search::Outcome::Cancelled);
+      net.stop();
+      break;
     }
-    resuming = false;
+    if (ctl.node_budget.fetch_sub(1, std::memory_order_relaxed) <= 0 ||
+        search::deadline_passed(ctl.deadline)) {
+      report_stop(ctl.stop_cause, search::Outcome::BudgetExceeded);
+      net.stop();
+      break;
+    }
+    ++ws.expanded;
+    if (ctl.fork_nodes != nullptr && runner.fork_tag() < ctl.fork_tag_count)
+      ctl.fork_nodes[runner.fork_tag()].fetch_add(1, std::memory_order_relaxed);
+    if (trace != nullptr) ++burst;
 
     // --- expand in place -------------------------------------------------
-    const search::Runner::StepResult step =
-        runner.expand(&estats, preempt_epoch, &epoch_seen);
-
-    if (step.preempted) {
-      // Timer tick mid-builtin-burst: run the D-threshold check that
-      // normally waits for the expansion boundary. If the network holds a
-      // strictly better chain, the whole pool — including the live
-      // mid-burst state — migrates out (§6's freed-task hand-off);
-      // otherwise resume the burst where it yielded.
-      ++ws.preemptions;
-      resuming = true;
-      flush_burst();
-      obs::trace(trace, lane, obs::EventKind::kPreempt);
-      double local_min = runner.state().bound;
-      if (runner.pending() > 0)
-        local_min = std::min(local_min, runner.min_pending_bound());
-      if (auto better =
-              net.try_acquire_better(slot, local_min, cfg.d_threshold)) {
-        charge_copies([&] {
-          spill.push_back(runner.detach_state(&estats));
-          auto rest = runner.detach_all(&estats);
-          std::move(rest.begin(), rest.end(), std::back_inserter(spill));
-        });
-        obs::trace(trace, lane, obs::EventKind::kMigrate,
-                   static_cast<std::uint32_t>(spill.size()));
-        flush_spills();
-        runner.load(std::move(*better));
-        ++ws.network_takes;
-        obs::trace(trace, lane, obs::EventKind::kNetworkTake);
-        // The migrated-out state is re-counted by whoever resumes it; the
-        // chain we just loaded is a fresh expansion of our own.
-        resuming = false;
-      }
-      continue;
-    }
+    const search::Runner::StepResult step = runner.expand(&estats);
 
     switch (step.outcome) {
       case search::NodeOutcome::Solution: {

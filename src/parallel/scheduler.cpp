@@ -24,8 +24,7 @@ bool handle_resolved(std::uint32_t s) {
          s == SpillHandle::kTaken;
 }
 
-/// Steady-clock microseconds — the shared time base of publish stamps,
-/// claim-wait latency accounting and the stale-bound refresh.
+/// Steady-clock microseconds — the time base of claim-wait accounting.
 std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -41,11 +40,6 @@ WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
       tuning_(std::move(tuning)),
       inflight_(0) {
   if (workers == 0) workers = 1;
-  // A zero claim cap would make `mail.size() >= limit` always true and
-  // silently disable handle stealing for every thief; one in-flight
-  // claim is the floor, enforced here so every construction path (not
-  // just the engine) is safe.
-  tuning_.mailbox_claim_limit = std::max(1u, tuning_.mailbox_claim_limit);
   // Worker→node placement: an explicit tuning map wins (tests, custom
   // layouts); otherwise round-robin over the detected host topology. A
   // single-node host tags every deque 0, which makes every locality
@@ -55,12 +49,10 @@ WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
     topo = &Topology::system();
     if (topo->single_node()) topo = nullptr;
   }
-  const std::int64_t now = now_us();
   deques_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     auto d = std::make_unique<Deque>();
     d->pub_min.store(kInf, std::memory_order_relaxed);
-    d->pub_stamp_us.store(now, std::memory_order_relaxed);
     if (!tuning_.worker_nodes.empty())
       d->node = tuning_.worker_nodes[w % tuning_.worker_nodes.size()];
     else if (topo != nullptr)
@@ -79,7 +71,6 @@ void WorkStealingScheduler::publish(Deque& d) {
                   std::memory_order_release);
   d.pub_size.store(static_cast<std::uint32_t>(d.pool.size()),
                    std::memory_order_release);
-  d.pub_stamp_us.store(now_us(), std::memory_order_relaxed);
 }
 
 void WorkStealingScheduler::adapt(Deque& d) {
@@ -112,18 +103,15 @@ void WorkStealingScheduler::adapt(Deque& d) {
                      std::memory_order_relaxed);
 }
 
-std::size_t WorkStealingScheduler::sweep_stale_locked(Deque& d) {
-  const std::size_t before = d.pool.size();
-  std::erase_if(d.pool, [](const Entry& e) {
+void WorkStealingScheduler::sweep_stale_locked(Deque& d) {
+  const std::size_t removed = std::erase_if(d.pool, [](const Entry& e) {
     return e.lazy != nullptr &&
            handle_resolved(e.lazy->state.load(std::memory_order_relaxed));
   });
-  const std::size_t removed = before - d.pool.size();
   if (removed > 0) {
     std::make_heap(d.pool.begin(), d.pool.end(), EntryCmp{});
     stale_discards_.fetch_add(removed, std::memory_order_relaxed);
   }
-  return removed;
 }
 
 // Move the arbitrary back half of a locked deque's heap array out —
@@ -284,34 +272,6 @@ std::uint32_t WorkStealingScheduler::worker_node(unsigned worker) const {
   return deques_[worker % deques_.size()]->node;
 }
 
-void WorkStealingScheduler::maintain(unsigned worker) {
-  // Stale-bound refresh: a published minimum that has not been
-  // re-published for stale_refresh_us very likely fronts a deque whose
-  // best entries were resolved elsewhere (owner-reclaimed copy-on-steal
-  // handles); sweep + re-publish so idle scans stop chasing the dead
-  // bound. Owner-driven so the cost is one (almost always uncontended)
-  // lock per interval, paid off the thieves' scan path.
-  if (tuning_.stale_refresh_us == 0) return;
-  const unsigned self = worker % static_cast<unsigned>(deques_.size());
-  Deque& d = *deques_[self];
-  if (d.pub_size.load(std::memory_order_relaxed) == 0) return;
-  const std::int64_t now = now_us();
-  if (now - d.pub_stamp_us.load(std::memory_order_relaxed) <
-      static_cast<std::int64_t>(tuning_.stale_refresh_us))
-    return;
-  std::lock_guard lock(d.mu);
-  locks_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t removed = sweep_stale_locked(d);
-  // Re-publishing also refreshes the stamp, so a live-but-quiet deque is
-  // re-examined at most once per interval.
-  publish(d);
-  if (removed > 0) {
-    stale_refreshes_.fetch_add(1, std::memory_order_relaxed);
-    obs::trace(tuning_.trace, static_cast<std::uint16_t>(self),
-               EventKind::kStaleRefresh, static_cast<std::uint32_t>(removed));
-  }
-}
-
 void WorkStealingScheduler::record_steal(unsigned thief, unsigned victim_deque,
                                          std::uint64_t n) {
   steals_.fetch_add(n, std::memory_order_relaxed);
@@ -364,94 +324,9 @@ unsigned WorkStealingScheduler::pick_victim(unsigned self, double require_below,
   return local_v;
 }
 
-std::optional<search::Node> WorkStealingScheduler::drain_mailbox(
-    unsigned self, double require_below) {
-  Deque& d = *deques_[self];
-  if (d.mail.empty()) return std::nullopt;
-  // Pick the best deposit already materialized by its owner.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t best_i = kNone;
-  double best_b = require_below;
-  for (std::size_t i = 0; i < d.mail.size(); ++i) {
-    const std::uint32_t s =
-        d.mail[i].handle->state.load(std::memory_order_acquire);
-    if (s == SpillHandle::kReady && d.mail[i].handle->bound < best_b) {
-      best_b = d.mail[i].handle->bound;
-      best_i = i;
-    }
-  }
-  // Consume every resolved entry in one pass: the best ready deposit is
-  // returned, every other ready deposit is re-parked into our own deque
-  // (so the network sees it instead of it idling in a private mailbox),
-  // dead ones are dropped, in-flight claims stay parked.
-  std::optional<search::Node> taken;
-  std::vector<MailEntry> kept;
-  std::vector<Entry> repark;
-  const std::int64_t now = now_us();
-  std::uint32_t drained = 0;
-  for (std::size_t i = 0; i < d.mail.size(); ++i) {
-    MailEntry& me = d.mail[i];
-    const std::uint32_t s = me.handle->state.load(std::memory_order_acquire);
-    if (s == SpillHandle::kDead) {  // owner dropped the chain
-      obs::trace(tuning_.trace, static_cast<std::uint16_t>(self),
-                 EventKind::kHandleDead,
-                 static_cast<std::uint32_t>(me.handle->owner));
-      continue;
-    }
-    if (s == SpillHandle::kReady) {
-      // Every ready deposit is converted now, beat require_below or not —
-      // deposits must not dwell privately while other workers starve.
-      search::Node node = std::move(me.handle->node);
-      me.handle->state.store(SpillHandle::kTaken, std::memory_order_release);
-      handle_grants_.fetch_add(1, std::memory_order_relaxed);
-      mailbox_drained_.fetch_add(1, std::memory_order_relaxed);
-      ++drained;
-      obs::trace(tuning_.trace, static_cast<std::uint16_t>(self),
-                 EventKind::kHandleGrant,
-                 static_cast<std::uint32_t>(me.handle->owner));
-      claim_wait_us_.fetch_add(
-          static_cast<std::uint64_t>(std::max<std::int64_t>(
-              0, now - me.claimed_at_us)),
-          std::memory_order_relaxed);
-      record_steal(self,
-                   me.handle->owner % static_cast<unsigned>(deques_.size()),
-                   1);
-      if (i == best_i) {
-        pops_.fetch_add(1, std::memory_order_relaxed);
-        taken = std::move(node);
-      } else {
-        repark.push_back(Entry{node.bound,
-                               seq_.fetch_add(1, std::memory_order_relaxed),
-                               std::move(node), nullptr});
-      }
-      continue;
-    }
-    kept.push_back(std::move(me));  // kClaimed / kFulfilling: still in flight
-  }
-  d.mail = std::move(kept);
-  if (drained > 0)
-    obs::trace(tuning_.trace, static_cast<std::uint16_t>(self),
-               EventKind::kMailboxDrain, drained);
-  if (!repark.empty()) park_entries(self, std::move(repark));
-  return taken;
-}
-
 std::optional<search::Node> WorkStealingScheduler::await_claim(
     unsigned thief, std::shared_ptr<SpillHandle> h, std::uint64_t entry_seq,
     ClaimWait wait) {
-  if (wait == ClaimWait::Mailbox) {
-    // Claim-wait mailbox: don't wait at all. Park the claimed handle in
-    // the thief's mailbox — the owner deposits the materialized state
-    // into it (kReady) at its next expansion boundary — and go back to
-    // scanning other victims. The deposit is picked up by drain_mailbox
-    // on a later acquire / D-threshold boundary.
-    const auto owner = static_cast<std::uint32_t>(h->owner);
-    deques_[thief]->mail.push_back(MailEntry{std::move(h), now_us()});
-    mailbox_parked_.fetch_add(1, std::memory_order_relaxed);
-    obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
-               EventKind::kMailboxPark, owner);
-    return std::nullopt;
-  }
   // Liveness: the owner services claims at its next expansion boundary
   // (it cannot be blocked in acquire() while this handle lives — a worker
   // only goes idle with an empty stack, and an empty stack has no live
@@ -524,7 +399,7 @@ std::optional<search::Node> WorkStealingScheduler::await_claim(
 
 std::optional<search::Node> WorkStealingScheduler::steal_from(
     unsigned thief, unsigned victim, double require_below, bool bulk,
-    ClaimWait wait, bool* claim_capped) {
+    ClaimWait wait) {
   Deque& src = *deques_[victim];
   std::vector<Entry> loot;
   Entry taken;
@@ -541,17 +416,6 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
         if (handle_resolved(s)) {
           stale_discards_.fetch_add(1, std::memory_order_relaxed);
           continue;  // garbage entry; keep looking
-        }
-        if (wait == ClaimWait::Mailbox && e.lazy->owner != thief &&
-            deques_[thief]->mail.size() >= tuning_.mailbox_claim_limit) {
-          // At the mailbox claim cap: claiming more handles would only
-          // force more owners into deep copies while our deposits are
-          // still in flight. Put the entry back and tell the caller to
-          // back off and drain.
-          src.pool.push_back(std::move(e));
-          std::push_heap(src.pool.begin(), src.pool.end(), EntryCmp{});
-          if (claim_capped != nullptr) *claim_capped = true;
-          break;
         }
         if (e.lazy->owner == thief) {
           // Our own live handle surfaced through the network (offload or
@@ -610,10 +474,9 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
   }
 
   // Copy-on-steal: win the claim CAS outside any deque lock, then wait
-  // for the owner to materialize the checkpointed state into the handle
-  // (or, with mailboxes, park the claim and keep scanning). Losing the
-  // CAS means the owner resolved the choice first — the entry was stale
-  // after all.
+  // for the owner to materialize the checkpointed state into the handle.
+  // Losing the CAS means the owner resolved the choice first — the entry
+  // was stale after all.
   std::shared_ptr<SpillHandle> h = std::move(taken.lazy);
   if (!h->try_claim()) {
     // Lost to the owner: no work moved, no pressure registered.
@@ -643,19 +506,13 @@ std::optional<search::Node> WorkStealingScheduler::try_acquire_better(
   const unsigned self = worker % static_cast<unsigned>(deques_.size());
   const double own = deques_[self]->pub_min.load(std::memory_order_acquire);
   const double threshold = std::min(local_min, own) - d;
-  // A deposit that landed in the mailbox since the last boundary may
-  // already beat the threshold — prefer it (the copy is paid and ours).
-  if (tuning_.claim_mailboxes) {
-    if (auto n = drain_mailbox(self, threshold)) return n;
-  }
   const unsigned victim = pick_victim(self, threshold, /*include_self=*/false);
   if (victim == deques_.size()) return std::nullopt;
   steal_attempts_.fetch_add(1, std::memory_order_relaxed);
   obs::trace(tuning_.trace, static_cast<std::uint16_t>(self),
              EventKind::kStealAttempt, victim);
   return steal_from(worker, victim, threshold, /*bulk=*/false,
-                    tuning_.claim_mailboxes ? ClaimWait::Mailbox
-                                            : ClaimWait::Bounded);
+                    ClaimWait::Bounded);
 }
 
 std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
@@ -686,50 +543,29 @@ std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return std::nullopt;
 
-    // Deposits for claims parked on earlier iterations land in the
-    // mailbox; consuming them first keeps the in-flight copy latency off
-    // the critical path (and the re-park inside the drain returns any
-    // surplus deposits to the network).
-    if (tuning_.claim_mailboxes) {
-      if (auto n = drain_mailbox(self, kInf)) {
-        grants_.fetch_add(1, std::memory_order_relaxed);
-        return n;
-      }
-    }
-
     // Scan every published minimum for the best victim — §6's freed
     // processor acquires the globally minimum-bound chain, preferring
     // same-node victims within the locality bias. Ties favour the own
     // deque (no cross-worker traffic).
     const unsigned victim = pick_victim(self, kInf, /*include_self=*/true);
-    bool claim_capped = false;
     if (victim != deques_.size()) {
       if (auto n = steal_from(self, victim, kInf, /*bulk=*/true,
-                              tuning_.claim_mailboxes ? ClaimWait::Mailbox
-                                                      : ClaimWait::Blocking,
-                              &claim_capped)) {
+                              ClaimWait::Blocking)) {
         grants_.fetch_add(1, std::memory_order_relaxed);
         return n;
       }
-      // Lost the race / stale entries / parked a claim: rescan
-      // immediately. At the mailbox claim cap, fall through to the
-      // backoff instead — rescanning would hot-loop on the same handle
-      // while our in-flight deposits are what we should be draining.
-      if (!claim_capped) continue;
-    } else {
-      // No queued work anywhere. The outstanding-work counter is the
-      // distributed termination detector: zero means every chain has been
-      // consumed (none queued, none being expanded), so exit. A parked
-      // mailbox claim keeps its chain in the count, so termination cannot
-      // fire while a deposit is still in flight toward this worker.
-      idle_guard.mark();
-      if (inflight_.load(std::memory_order_acquire) == 0) return std::nullopt;
+      // Lost the race / stale entries / dead claim: rescan immediately.
+      continue;
     }
+    // No queued work anywhere. The outstanding-work counter is the
+    // distributed termination detector: zero means every chain has been
+    // consumed (none queued, none being expanded), so exit.
+    idle_guard.mark();
+    if (inflight_.load(std::memory_order_acquire) == 0) return std::nullopt;
 
-    // Work exists but lives inside other workers' runners (or is being
-    // materialized toward our mailbox); back off politely (spin briefly,
-    // then sleep with exponential backoff capped at 500µs) until it
-    // spills, deposits or dies. Sleeping parks the thread off the
+    // Work exists but lives inside other workers' runners; back off
+    // politely (spin briefly, then sleep with exponential backoff capped at
+    // 500µs) until it spills or dies. Sleeping parks the thread off the
     // runqueue, which matters when workers outnumber cores.
     if (spins < 16) {
       ++spins;
@@ -781,9 +617,6 @@ SchedulerStats WorkStealingScheduler::stats() const {
   s.stale_discards = stale_discards_.load(std::memory_order_relaxed);
   s.claim_wait_spins = claim_wait_spins_.load(std::memory_order_relaxed);
   s.claim_wait_us = claim_wait_us_.load(std::memory_order_relaxed);
-  s.mailbox_parked = mailbox_parked_.load(std::memory_order_relaxed);
-  s.mailbox_drained = mailbox_drained_.load(std::memory_order_relaxed);
-  s.stale_refreshes = stale_refreshes_.load(std::memory_order_relaxed);
   s.expansions = expansions_.load(std::memory_order_relaxed);
   return s;
 }

@@ -62,36 +62,17 @@ term::TermRef Runner::rename_clause(const db::Clause& clause,
   return head;
 }
 
-Runner::StepResult Runner::expand(ExpandStats* stats,
-                                  const std::atomic<std::uint64_t>* preempt_epoch,
-                                  std::uint64_t* epoch_seen) {
+Runner::StepResult Runner::expand(ExpandStats* stats) {
   assert(has_state_);
   const ExpanderOptions& opts = ex_.options();
   BuiltinEvaluator* builtins = ex_.builtins();
 
   // Consume leading builtin goals in place (they are deterministic); their
   // bindings become part of this state, below the children's checkpoint.
-  bool in_builtin_burst = false;
   while (!state_.goals.empty() && builtins != nullptr) {
-    // Only an actual burst — at least one builtin already consumed — may
-    // yield; otherwise every epoch tick would preempt every worker once
-    // even on builtin-free workloads.
-    if (in_builtin_burst && preempt_epoch != nullptr && epoch_seen != nullptr) {
-      const std::uint64_t e = preempt_epoch->load(std::memory_order_relaxed);
-      if (e != *epoch_seen) {
-        // Timer tick: yield mid-burst so the caller can run the
-        // D-threshold check. State stays live; re-entering resumes here.
-        *epoch_seen = e;
-        StepResult r;
-        r.outcome = NodeOutcome::Expanded;  // meaningless while preempted
-        r.preempted = true;
-        return r;
-      }
-    }
     const auto outcome =
         builtins->eval(store_, state_.goals.front().term, trail_);
     if (outcome == BuiltinEvaluator::Outcome::NotBuiltin) break;
-    in_builtin_burst = true;  // ≥1 builtin consumed: preemption may yield
     if (stats) ++stats->builtin_calls;
     if (outcome == BuiltinEvaluator::Outcome::Fail) {
       has_state_ = false;
@@ -486,38 +467,6 @@ std::vector<DetachedNode> Runner::detach_all(ExpandStats* stats) {
   minb_.clear();
   has_state_ = false;
   return out;
-}
-
-DetachedNode Runner::detach_state(ExpandStats* stats) {
-  assert(has_state_);
-  const bool with_answer = answer_ != term::kNullTerm;
-  roots_.clear();
-  if (with_answer) roots_.push_back(answer_);
-  for (const Goal& g : state_.goals) roots_.push_back(g.term);
-  compact_roots();
-
-  DetachedNode d;
-  d.store = staging_;
-  std::size_t k = 0;
-  if (with_answer) d.answer = out_[k++];
-  d.goals.reserve(state_.goals.size());
-  for (const Goal& src : state_.goals) {
-    Goal g = src;
-    g.term = out_[k++];
-    d.goals.push_back(g);
-  }
-  d.bound = state_.bound;
-  d.depth = state_.depth;
-  d.chain = std::move(state_.chain);
-  d.id = state_.id;
-  d.parent_id = state_.parent_id;
-  d.fork_tag = fork_tag_;
-  has_state_ = false;
-  if (stats) {
-    stats->cells_copied += d.store.size();
-    ++stats->detaches;
-  }
-  return d;
 }
 
 std::size_t Runner::publish_overflow(

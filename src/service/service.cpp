@@ -160,9 +160,6 @@ QueryService::QueryService(ServiceOptions opts)
   eo.workers = opts_.executor_workers;
   eo.queue_limit = opts_.admission_queue_limit;
   eo.max_running_jobs = std::max<std::size_t>(opts_.max_concurrent_queries, 1);
-  // Served queries are short; the per-expansion deadline check already
-  // bounds their latency, so skip the preemption ticker thread.
-  eo.preempt_interval = std::chrono::microseconds(0);
   eo.metrics = &metrics_;
   executor_ = std::make_unique<parallel::Executor>(eo);
 }
@@ -175,7 +172,8 @@ QueryService::QueryService(const engine::Interpreter& seed, ServiceOptions opts)
 QueryService::~QueryService() {
   closing_.store(true, std::memory_order_relaxed);
   // Every ticket completes before reset() returns: queued jobs as
-  // Cancelled on this thread, running ones cooperatively on their workers.
+  // Cancelled on this thread, running ones stopped and finalized by their
+  // workers.
   executor_.reset();
 }
 
@@ -251,11 +249,11 @@ void QueryService::on_job_complete(
   for (const auto& ws : r.workers) depth_cutoffs += ws.depth_cutoffs;
   if (r.outcome == search::Outcome::Cancelled) {
     resp.status = QueryStatus::Cancelled;
-    // No worker ever attached: the pool dropped it from its queue.
-    resp.error = !r.workers.empty() ? "cancelled by client"
-                 : closing_.load(std::memory_order_relaxed)
-                     ? "service shutting down"
-                     : "cancelled while queued";
+    // Teardown stops queued and running jobs alike; otherwise a job no
+    // worker ever attached to was dropped from the pool's queue.
+    resp.error = closing_.load(std::memory_order_relaxed) ? "service shutting down"
+                 : !r.workers.empty()                     ? "cancelled by client"
+                                                          : "cancelled while queued";
     cancelled_.inc();
   } else if (r.outcome == search::Outcome::Exhausted && depth_cutoffs == 0) {
     resp.status = QueryStatus::Ok;

@@ -74,11 +74,13 @@ TEST(AndExec2, SingleGoalQueryWorks) {
   EXPECT_EQ(res.groups.size(), 1u);
 }
 
-TEST(AndExec2, GroundQueryYieldsTrue) {
+TEST(AndExec2, GroundQueryAnswersItsOwnInstance) {
+  // A conjunction that names no variable answers with its own instance,
+  // as the sequential engine does (engine::parse_query).
   Interpreter ip;
   ip.consult_string("p(1). q(2).");
   const auto res = solve_and_parallel(ip, "p(1), q(2)");
-  EXPECT_EQ(res.solutions, (std::vector<std::string>{"true"}));
+  EXPECT_EQ(res.solutions, (std::vector<std::string>{"p(1),q(2)"}));
 }
 
 TEST(AndExec2, ThreeWayJoinChain) {

@@ -367,6 +367,37 @@ TEST(Executor, DestructorCancelsOutstandingJobs) {
   }
 }
 
+TEST(Executor, DestructorStopsRunningJobs) {
+  // A job whose slots are all claimed has left the run-queue; teardown must
+  // still stop it at its workers' next expansion boundary rather than wait
+  // out the whole search.
+  const std::string program = workloads::layered_dag(6, 4);
+  const std::size_t all = cold_texts(program, "path(n0_0,Z,P)").size();
+  for (const unsigned slots : {1u, 2u}) {
+    engine::Interpreter ip;
+    ip.consult_string(program);
+    Latch latch;
+    JobTicket ticket;
+    std::thread releaser;
+    {
+      Executor exec({.workers = 2});
+      JobRequest jr = make_job(ip, "path(n0_0,Z,P)", slots);
+      jr.on_answer = [&](const search::Solution&) { latch.hold(); };
+      ticket = exec.submit(std::move(jr));
+      latch.wait_entered(1);  // the job is running: its first answer is in
+      while (exec.stats().busy_workers < slots) std::this_thread::yield();
+      releaser = std::thread([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        latch.release();
+      });
+    }  // ~Executor
+    releaser.join();
+    const auto& r = ticket.wait();
+    EXPECT_EQ(r.outcome, search::Outcome::Cancelled) << "slots=" << slots;
+    EXPECT_LT(r.solutions.size(), all) << "slots=" << slots;
+  }
+}
+
 // ------------------------------------------------- async QueryService --
 
 TEST(ServiceSubmit, TicketWaitMatchesSyncQuery) {
@@ -768,13 +799,12 @@ TEST(ServiceStorm, DestructionCompletesOutstandingTickets) {
                       r.status == QueryStatus::Cancelled)
               << service::query_status_name(r.status);
           if (r.status == QueryStatus::Cancelled)
-            EXPECT_TRUE(r.error == "service shutting down" ||
-                        r.error == "cancelled by client")
-                << r.error;
+            EXPECT_EQ(r.error, "service shutting down");
         }
       };
   {
-    // One worker held mid-search, one query in line behind it.
+    // One worker held mid-search, one query in line behind it: teardown
+    // stops the held query at its next expansion boundary.
     Latch latch;
     service::QueryTicket running, queued;
     std::thread releaser;
@@ -796,6 +826,8 @@ TEST(ServiceStorm, DestructionCompletesOutstandingTickets) {
     }  // ~QueryService
     releaser.join();
     expect_completed({running, queued});
+    EXPECT_EQ(running.wait().status, QueryStatus::Cancelled);
+    EXPECT_EQ(running.wait().error, "service shutting down");
     EXPECT_EQ(queued.wait().error, "service shutting down");
   }
   {

@@ -1,14 +1,11 @@
 // Work-stealing scheduler tests: deque/steal/termination unit behaviour,
 // the max_solutions exact-count fix under contention, copy-on-steal spill
 // handle lifecycle (claim CAS, owner fulfillment, invalidation races),
-// claim-wait mailboxes, NUMA-biased victim choice, stale-bound refresh,
-// timer-driven D-threshold preemption, and steal-storm stress with tiny
-// deques (the BLOG_TSAN CI job runs all of these under the thread
-// sanitizer).
+// NUMA-biased victim choice, and steal-storm stress with tiny deques (the
+// BLOG_TSAN CI job runs all of these under the thread sanitizer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "blog/parallel/engine.hpp"
@@ -384,234 +381,6 @@ TEST(CopyOnSteal, DeadHandleAbandonsTheClaimingThief) {
   thief.join();
 }
 
-// ---------------------------------------------- claim-wait mailboxes ----
-
-TEST(Mailbox, ClaimParksAndDrainsTheOwnerDeposit) {
-  // Mailbox mode (the default): the thief's claim parks the handle and
-  // acquire keeps polling without a single claim-wait spin; the owner's
-  // deposit is consumed from the mailbox on a later poll.
-  WorkStealingScheduler s(2);
-  auto h = handle_with_bound(1.5, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-
-  std::thread owner([&] {
-    while (h->state.load(std::memory_order_acquire) !=
-           search::SpillHandle::kClaimed)
-      std::this_thread::yield();
-    h->node = node_with_bound(1.5);
-    h->state.store(search::SpillHandle::kReady, std::memory_order_release);
-  });
-  auto n = s.acquire(1);
-  owner.join();
-  ASSERT_TRUE(n.has_value());
-  EXPECT_DOUBLE_EQ(n->bound, 1.5);
-  EXPECT_EQ(h->state.load(), search::SpillHandle::kTaken);
-  const auto st = s.stats();
-  EXPECT_EQ(st.mailbox_parked, 1u);
-  EXPECT_EQ(st.mailbox_drained, 1u);
-  EXPECT_EQ(st.claim_wait_spins, 0u);  // never blocked on the claim
-  EXPECT_EQ(st.handle_claims, 1u);
-  EXPECT_EQ(st.handle_grants, 1u);
-  s.stop();
-}
-
-TEST(Mailbox, SpinWaitModeNeverTouchesMailboxes) {
-  SchedulerTuning t;
-  t.claim_mailboxes = false;
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
-  auto h = handle_with_bound(2.5, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  std::thread owner([&] {
-    while (h->state.load(std::memory_order_acquire) !=
-           search::SpillHandle::kClaimed)
-      std::this_thread::yield();
-    h->node = node_with_bound(2.5);
-    h->state.store(search::SpillHandle::kReady, std::memory_order_release);
-  });
-  auto n = s.acquire(1);
-  owner.join();
-  ASSERT_TRUE(n.has_value());
-  const auto st = s.stats();
-  EXPECT_EQ(st.mailbox_parked, 0u);
-  EXPECT_EQ(st.mailbox_drained, 0u);
-  s.stop();
-}
-
-TEST(Mailbox, SurplusDepositsAreReparkedIntoTheThiefsDeque) {
-  // Two handles from the same owner: the polling thief claims both while
-  // idle, the owner deposits both, and the drain hands the thief the
-  // better one while re-parking the other into the thief's deque — so the
-  // surplus deposit re-enters the network instead of idling privately.
-  // (The claim limit must admit two parked claims: the fake owner below
-  // deposits only once both are claimed.)
-  SchedulerTuning tuning;
-  tuning.mailbox_claim_limit = 2;
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, tuning);
-  auto h1 = handle_with_bound(1.0, /*owner=*/0);
-  auto h2 = handle_with_bound(2.0, /*owner=*/0);
-  s.on_expanded(3);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h1, h2};
-  s.push_handles(0, std::move(hs));
-
-  std::thread owner([&] {
-    for (const auto& h : {h1, h2}) {
-      while (h->state.load(std::memory_order_acquire) !=
-             search::SpillHandle::kClaimed)
-        std::this_thread::yield();
-    }
-    // Both claims parked; deposit both at once.
-    h1->node = node_with_bound(1.0);
-    h1->state.store(search::SpillHandle::kReady, std::memory_order_release);
-    h2->node = node_with_bound(2.0);
-    h2->state.store(search::SpillHandle::kReady, std::memory_order_release);
-  });
-  EXPECT_DOUBLE_EQ(s.acquire(1)->bound, 1.0);  // best deposit
-  owner.join();
-  EXPECT_DOUBLE_EQ(s.acquire(1)->bound, 2.0);  // re-parked surplus
-  const auto st = s.stats();
-  EXPECT_EQ(st.mailbox_parked, 2u);
-  EXPECT_EQ(st.mailbox_drained, 2u);
-  EXPECT_EQ(st.handle_grants, 2u);
-  s.stop();
-}
-
-TEST(Mailbox, ClaimLimitStopsFurtherClaimsUntilDrained) {
-  // Default claim limit 1: with one claim already parked, the thief must
-  // not claim the second published handle — it backs off and drains
-  // instead, and only the next acquisition claims the second one. This is
-  // what keeps an idle thief on an oversubscribed host from forcing every
-  // owner into a deep copy at once.
-  WorkStealingScheduler s(2);
-  auto h1 = handle_with_bound(1.0, /*owner=*/0);
-  auto h2 = handle_with_bound(2.0, /*owner=*/0);
-  s.on_expanded(3);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h1, h2};
-  s.push_handles(0, std::move(hs));
-
-  std::thread owner([&] {
-    for (const auto& h : {h1, h2}) {
-      while (h->state.load(std::memory_order_acquire) !=
-             search::SpillHandle::kClaimed)
-        std::this_thread::yield();
-      h->node = node_with_bound(h->bound);
-      h->state.store(search::SpillHandle::kReady, std::memory_order_release);
-    }
-  });
-  EXPECT_DOUBLE_EQ(s.acquire(1)->bound, 1.0);
-  // The second handle was never claimed while the first sat in the
-  // mailbox: the cap held the thief to one in-flight claim.
-  EXPECT_EQ(h2->state.load(), search::SpillHandle::kAvailable);
-  EXPECT_EQ(s.stats().mailbox_parked, 1u);
-  EXPECT_DOUBLE_EQ(s.acquire(1)->bound, 2.0);
-  owner.join();
-  EXPECT_EQ(s.stats().mailbox_parked, 2u);
-  s.stop();
-}
-
-TEST(Mailbox, ZeroClaimLimitIsClampedToOne) {
-  // A zero cap would make `mail.size() >= limit` always true and
-  // silently turn off handle stealing; the scheduler clamps it at
-  // construction so every build path stays safe.
-  SchedulerTuning t;
-  t.mailbox_claim_limit = 0;
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
-  auto h = handle_with_bound(1.0, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  std::thread owner([&] {
-    while (h->state.load(std::memory_order_acquire) !=
-           search::SpillHandle::kClaimed)
-      std::this_thread::yield();
-    h->node = node_with_bound(1.0);
-    h->state.store(search::SpillHandle::kReady, std::memory_order_release);
-  });
-  EXPECT_DOUBLE_EQ(s.acquire(1)->bound, 1.0);  // the claim still happened
-  owner.join();
-  s.stop();
-}
-
-TEST(Mailbox, DeadDepositIsDroppedOnDrain) {
-  WorkStealingScheduler s(2);
-  auto h = handle_with_bound(3.0, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  std::thread thief([&] { EXPECT_FALSE(s.acquire(1).has_value()); });
-  while (h->state.load(std::memory_order_acquire) !=
-         search::SpillHandle::kClaimed)
-    std::this_thread::yield();
-  // Owner shutting down: the claimed handle dies instead of being
-  // fulfilled; the thief's drain must drop it and terminate cleanly.
-  h->state.store(search::SpillHandle::kDead, std::memory_order_release);
-  s.on_expanded(0);
-  thief.join();
-  const auto st = s.stats();
-  EXPECT_EQ(st.mailbox_parked, 1u);
-  EXPECT_EQ(st.mailbox_drained, 0u);
-}
-
-// -------------------------------------------------- stale-bound refresh --
-
-TEST(StaleRefresh, OwnerRepublishesAStaleMinimum) {
-  // A published handle the owner reclaimed in place leaves a dead bound
-  // advertised to every idle scan. Nobody steals here — the owner's own
-  // maintain() must sweep and re-publish once the interval passes.
-  SchedulerTuning t;
-  t.stale_refresh_us = 1;
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
-  auto h = handle_with_bound(1.0, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  ASSERT_TRUE(s.min_bound().has_value());  // dead bound still advertised
-  h->state.store(search::SpillHandle::kOwnerTaken);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  s.maintain(0);
-  EXPECT_FALSE(s.min_bound().has_value());  // refreshed to empty
-  const auto st = s.stats();
-  EXPECT_GE(st.stale_refreshes, 1u);
-  EXPECT_GE(st.stale_discards, 1u);
-  s.stop();
-}
-
-TEST(StaleRefresh, DisabledIntervalLeavesTheBoundAlone) {
-  SchedulerTuning t;
-  t.stale_refresh_us = 0;  // refresh off
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
-  auto h = handle_with_bound(1.0, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  h->state.store(search::SpillHandle::kOwnerTaken);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  s.maintain(0);
-  EXPECT_TRUE(s.min_bound().has_value());  // dead bound still up
-  EXPECT_EQ(s.stats().stale_refreshes, 0u);
-  s.stop();
-}
-
-TEST(StaleRefresh, FreshPublishIsNotRefreshed) {
-  // A minimum published a moment ago must not be swept: the interval
-  // gates the owner-side lock to one per stale period.
-  SchedulerTuning t;
-  t.stale_refresh_us = 60'000'000;  // one minute: never stale in-test
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
-  auto h = handle_with_bound(1.0, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  h->state.store(search::SpillHandle::kOwnerTaken);
-  s.maintain(0);
-  EXPECT_TRUE(s.min_bound().has_value());
-  EXPECT_EQ(s.stats().stale_refreshes, 0u);
-  s.stop();
-}
-
 // ------------------------------------- max_solutions exact-count (fix) --
 
 TEST(WorkStealingStress, MaxSolutionsNeverOvershootsUnderContention) {
@@ -686,33 +455,12 @@ TEST(WorkStealingStress, LazyHandleStormStaysExact) {
   }
 }
 
-TEST(WorkStealingStress, MailboxStormStaysExact) {
-  // Claim-wait mailboxes under maximum contention: capacity 1 publishes
-  // nearly every choice, so thieves park claims while still scanning and
-  // owners deposit into mailboxes concurrently — with the stale-bound
-  // refresh running at a deliberately hot 1µs interval on top. Every
-  // answer must still be found exactly once (TSan-verified in CI).
-  const std::string program = workloads::layered_dag(4, 3);
-  const auto expected = sequential_expected(program, "path(n0_0,Z,P)");
-  for (int run = 0; run < 3; ++run) {
-    ParallelOptions po;
-    po.workers = 8;
-    po.local_capacity = 1;
-    po.steal_deque_capacity = 1;
-    po.adaptive_capacity = false;
-    po.update_weights = false;
-    po.claim_mailboxes = true;
-    po.stale_refresh_interval = std::chrono::microseconds(1);
-    const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
-    EXPECT_EQ(texts(r), expected) << "run " << run;
-    EXPECT_TRUE(r.exhausted);
-  }
-}
-
 TEST(WorkStealingStress, SpinWaitStormStaysExact) {
-  // The legacy claim-wait path (mailboxes off) stays a supported
-  // configuration; keep it under the same storm so both waits are
-  // sanitizer-covered.
+  // The claim storm: capacity 1 publishes nearly every choice, so thieves
+  // block on claimed handles (spin-wait in idle acquire, bounded wait plus
+  // un-claim in the D-threshold probe) while owners fulfill at their
+  // expansion boundaries. Every answer must still be found exactly once
+  // (TSan-verified in CI).
   const std::string program = workloads::layered_dag(4, 3);
   const auto expected = sequential_expected(program, "path(n0_0,Z,P)");
   for (int run = 0; run < 3; ++run) {
@@ -722,7 +470,6 @@ TEST(WorkStealingStress, SpinWaitStormStaysExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.claim_mailboxes = false;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -769,69 +516,6 @@ TEST(WorkStealingStress, LazyMigrationDetachAllRacesThievesCleanly) {
   }
 }
 
-// -------------------------------------- timer-driven D-threshold check --
-
-/// StandardBuiltins plus a `slow` builtin that burns wall-clock: forces
-/// builtin bursts long enough for the preemption ticker to interrupt.
-class SlowBuiltins : public search::BuiltinEvaluator {
-public:
-  explicit SlowBuiltins(search::BuiltinEvaluator* inner) : inner_(inner) {}
-  Outcome eval(term::Store& s, term::TermRef goal,
-               term::Trail& trail) override {
-    const term::TermRef g = s.deref(goal);
-    if (s.is_atom(g) && s.atom_name(g) == slow_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-      return Outcome::True;
-    }
-    return inner_->eval(s, goal, trail);
-  }
-  [[nodiscard]] bool is_builtin(const db::Pred& p) const override {
-    return (p.arity == 0 && p.name == slow_) || inner_->is_builtin(p);
-  }
-
-private:
-  search::BuiltinEvaluator* inner_;
-  Symbol slow_ = intern("slow");
-};
-
-TEST(Preemption, SlowBuiltinBurstYieldsToTheTimer) {
-  // A chain of slow builtins runs far longer than the preemption period:
-  // the burst must yield mid-expansion (preemptions > 0) so the
-  // D-threshold check runs, and the answers must be exactly the ones the
-  // uninterrupted run finds.
-  Interpreter ip;
-  ip.consult_string(
-      "p(X) :- slow, slow, slow, slow, slow, q(X). q(1). q(2).");
-  SlowBuiltins slow(&ip.builtins());
-  ParallelOptions po;
-  po.workers = 2;
-  po.update_weights = false;
-  po.preempt_interval = std::chrono::microseconds(200);
-  ParallelEngine pe(ip.program(), ip.weights(), &slow, po);
-  const auto r = pe.solve(ip.parse_query("p(X)"));
-  EXPECT_EQ(r.solutions.size(), 2u);
-  EXPECT_TRUE(r.exhausted);
-  std::uint64_t preemptions = 0;
-  for (const auto& w : r.workers) preemptions += w.preemptions;
-  EXPECT_GT(preemptions, 0u);
-}
-
-TEST(Preemption, DisabledTimerNeverPreempts) {
-  Interpreter ip;
-  ip.consult_string("p(X) :- slow, slow, slow, q(X). q(1). q(2).");
-  SlowBuiltins slow(&ip.builtins());
-  ParallelOptions po;
-  po.workers = 2;
-  po.update_weights = false;
-  po.preempt_interval = std::chrono::microseconds(0);
-  ParallelEngine pe(ip.program(), ip.weights(), &slow, po);
-  const auto r = pe.solve(ip.parse_query("p(X)"));
-  EXPECT_EQ(r.solutions.size(), 2u);
-  std::uint64_t preemptions = 0;
-  for (const auto& w : r.workers) preemptions += w.preemptions;
-  EXPECT_EQ(preemptions, 0u);
-}
-
 TEST(WorkStealingStress, WeightUpdatesRaceCleanly) {
   // §5 weight updates on, many workers, tiny deques: exercises the
   // scheduler and the weight store together for the sanitizer jobs.
@@ -858,7 +542,6 @@ TEST(WorkStealingStress, LiveStatsSnapshotsStayMonotonicUnderStorm) {
   obs::TraceSink sink;
   SchedulerTuning tuning;
   tuning.adaptive = false;
-  tuning.stale_refresh_us = 1;  // keep maintain() hot
   tuning.trace = &sink;
   WorkStealingScheduler s(kWorkers, /*deque_capacity=*/1, tuning);
   s.push_root(node_with_bound(0.0));
@@ -870,7 +553,6 @@ TEST(WorkStealingStress, LiveStatsSnapshotsStayMonotonicUnderStorm) {
     workers.emplace_back([&, w] {
       std::uint64_t seq = 0;
       while (auto n = s.acquire(w)) {
-        s.maintain(w);
         const std::size_t k =
             fanout_budget.fetch_sub(1, std::memory_order_relaxed) > 0 ? 2 : 0;
         s.on_expanded(k);
@@ -905,9 +587,6 @@ TEST(WorkStealingStress, LiveStatsSnapshotsStayMonotonicUnderStorm) {
       EXPECT_GE(cur.stale_discards, prev.stale_discards);
       EXPECT_GE(cur.claim_wait_spins, prev.claim_wait_spins);
       EXPECT_GE(cur.claim_wait_us, prev.claim_wait_us);
-      EXPECT_GE(cur.mailbox_parked, prev.mailbox_parked);
-      EXPECT_GE(cur.mailbox_drained, prev.mailbox_drained);
-      EXPECT_GE(cur.stale_refreshes, prev.stale_refreshes);
       EXPECT_GE(cur.expansions, prev.expansions);
       // Live sink counters share the same contract.
       EXPECT_GE(sink.recorded(), sink.dropped());

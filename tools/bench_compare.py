@@ -35,7 +35,7 @@ Usage:
       [--require FILE:KEY:MIN ...]
                               headline summary keys that must be >= MIN in
                               the current run (e.g.
-                              BENCH_numa.json:spin_reduction_all:5.0)
+                              BENCH_index.json:fact_lookup_speedup:10.0)
 
 Every BENCH_*.json carries a "host" record (NUMA node count, CPUs per
 node, hardware concurrency, CPU model) written by bench_json. The host
