@@ -3,8 +3,8 @@
 // BENCH_index.json / BENCH_analysis.json / BENCH_spill.json /
 // BENCH_numa.json / BENCH_service.json / BENCH_executor.json /
 // BENCH_andor.json (nodes/sec, cells_copied per expansion, trail writes
-// per expansion, copy-on-steal traffic, claim-wait latency, local vs
-// remote steal split, queries/sec, cache hit rate, persistent-pool qps +
+// per expansion, copy-on-steal traffic, claim-wait latency, queries/sec,
+// cache hit rate, persistent-pool qps +
 // tail latency, and unified AND/OR scheduler speedup + join cost), so the
 // perf trajectory of the engine is recorded change over change. Every
 // file carries a "host" record (NUMA node count, CPUs per node, CPU model)
@@ -83,10 +83,8 @@ struct Entry {
   std::uint64_t handles_reclaimed = 0;
   std::uint64_t handles_granted = 0;
   std::uint64_t handles_migrated = 0;
-  // Locality + claim-wait traffic (numa entries only).
+  // Claim-wait traffic (numa entries only).
   bool has_numa = false;
-  std::uint64_t steals_local = 0;
-  std::uint64_t steals_remote = 0;
   std::uint64_t claim_wait_spins = 0;
   std::uint64_t claim_wait_us = 0;
 
@@ -146,9 +144,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
           << ", \"handles_granted\": " << e.handles_granted
           << ", \"handles_migrated\": " << e.handles_migrated;
     if (e.has_numa)
-      out << ", \"steals_local\": " << e.steals_local
-          << ", \"steals_remote\": " << e.steals_remote
-          << ", \"claim_wait_spins\": " << e.claim_wait_spins
+      out << ", \"claim_wait_spins\": " << e.claim_wait_spins
           << ", \"claim_wait_us\": " << e.claim_wait_us;
     out << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
   }
@@ -248,8 +244,6 @@ Entry run_parallel(const std::string& name, const std::string& program,
   e.has_sched = true;
   e.lock_acquisitions = r.network.lock_acquisitions;
   e.steals = r.network.steals;
-  e.steals_local = r.network.steals_local;
-  e.steals_remote = r.network.steals_remote;
   e.claim_wait_spins = r.network.claim_wait_spins;
   e.claim_wait_us = r.network.claim_wait_us;
   return e;
@@ -686,11 +680,9 @@ int main(int argc, char** argv) {
                               /*adaptive=*/true));
   write_json(dir + "BENCH_spill.json", sp);
 
-  // Locality-aware scheduling: the same deep binary-countdown under
-  // copy-on-steal with the claim-wait spin on claimed handles. The
-  // local/remote steal split records how victim scans respect the node
-  // topology (all-local on single-node hosts). Adaptivity is pinned off so
-  // every width sees identical publish pressure.
+  // Claim-wait traffic: the same deep binary-countdown under copy-on-steal
+  // with the claim-wait spin on claimed handles. Adaptivity is pinned off
+  // so every width sees identical publish pressure.
   std::vector<Entry> numa;
   for (const unsigned w : {2u, 4u, 8u}) {
     Entry e = run_parallel("deep_w" + std::to_string(w) + "_spin", deep,

@@ -38,10 +38,10 @@ struct AndParallelOptions {
   /// Run the forked items on the unified work-stealing scheduler
   /// (default). false = the pre-unification per-group sequential solves.
   bool unified = true;
-  unsigned workers = 4;  ///< unified path: scheduler worker threads
-  /// When set, the unified path runs as one job (with forked child roots)
-  /// on this persistent pool instead of spawning its own workers; `workers`
-  /// becomes the job's slot request.
+  unsigned workers = 4;  ///< unified path: the job's slot request
+  /// The unified path runs as one job (with forked child roots) on this
+  /// persistent pool; null = on a pool of `workers` threads started for
+  /// the call.
   parallel::Executor* executor = nullptr;
 };
 

@@ -62,8 +62,7 @@ namespace blog::obs {
   X(SpillPublish, "spill.publish", "sched")                               \
   X(SpillBatch, "spill.batch", "sched")                                   \
   X(StealAttempt, "steal.attempt", "sched")                               \
-  X(StealLocal, "steal.local", "sched")                                   \
-  X(StealRemote, "steal.remote", "sched")                                 \
+  X(Steal, "steal.take", "sched")                                         \
   X(HandleClaim, "spill.claim", "sched")                                  \
   X(HandleGrant, "spill.grant", "sched")                                  \
   X(HandleDead, "spill.dead", "sched")                                    \
@@ -95,7 +94,7 @@ enum class EventKind : std::uint16_t {
       kCount
 };
 
-/// Display name ("steal.local") for a kind; "?" for out-of-range values.
+/// Display name ("steal.take") for a kind; "?" for out-of-range values.
 const char* trace_event_name(EventKind kind) noexcept;
 
 /// Category ("sched" / "runner" / "service") for a kind; "?" if unknown.

@@ -12,19 +12,23 @@
 /// Whole local pools migrate through the network (one batch) when §6's
 /// D-threshold says the network minimum is more than D below the local
 /// minimum and the freed worker should acquire the remote chain instead.
+///
+/// The workers are an Executor's pool (executor.hpp): ParallelEngine starts
+/// one per engine and submits every solve to it as one job.
 #pragma once
 
-#include <span>
-#include <thread>
+#include <memory>
 
 #include "blog/engine/interpreter.hpp"
 #include "blog/parallel/scheduler.hpp"
 
 namespace blog::parallel {
 
-/// Configuration of one ParallelEngine::solve run: worker count, budgets,
-/// §6 thresholds, and the scheduler's locality/spill/adaptivity behaviour.
-/// See docs/TUNING.md for the knob-by-knob guide.
+class Executor;
+
+/// Configuration of one parallel search job: worker count, budgets, §6
+/// thresholds, and the scheduler's spill/adaptivity behaviour. See
+/// docs/TUNING.md for the knob-by-knob guide.
 struct ParallelOptions {
   /// Worker ("processor") thread count; 0 is clamped to 1.
   unsigned workers = 4;
@@ -45,29 +49,15 @@ struct ParallelOptions {
   /// seeds). Turn off to pin the static knobs exactly.
   bool adaptive_capacity = true;
   std::uint32_t capacity_ewma_window = 64;  ///< EWMA horizon, spill events
-  /// NUMA awareness. When the host exposes more than one node
-  /// (topology.hpp), workers are placed round-robin across nodes, their
-  /// deques are tagged with the node id, and victim scans prefer same-node
-  /// deques: a remote-node published minimum is chosen only when it beats
-  /// the best local candidate by more than `numa_locality_bias` (bound
-  /// units). Single-node hosts take the exact pre-NUMA code path
-  /// regardless of these knobs.
-  bool numa_aware = true;
-  double numa_locality_bias = 1.0;  ///< bound units a remote min must win by
-  /// Pin each worker thread to the CPUs of its assigned node (Linux,
-  /// multi-node hosts only; best effort — a refused affinity syscall is
-  /// ignored). Placement and victim bias work without pinning, but pinned
-  /// workers actually keep their deques node-local.
-  bool numa_pin_workers = true;
   search::ExpanderOptions expander;  ///< resolution-step options
   /// Cooperative cancellation: when non-null and set, every worker stops
   /// at its next expansion boundary and the solve returns
   /// Outcome::Cancelled with the answers found so far. Must outlive solve.
   const std::atomic<bool>* cancel = nullptr;
-  /// Streaming hook: called under the solution lock once per recorded
-  /// answer (discovery order, deduplication is the caller's concern — the
-  /// engine already drops duplicate chains only at extraction). The
-  /// Solution reference is valid only during the call.
+  /// Streaming hook of ParallelEngine::solve: called once per recorded
+  /// answer, in discovery order, under the job's solution lock. The
+  /// Solution reference is valid only during the call. An Executor job
+  /// streams through JobRequest::on_answer instead.
   std::function<void(const search::Solution&)> on_solution;
   /// Flight recorder (obs/trace.hpp). When non-null, workers and the
   /// scheduler record steal/spill/migration/solution events into it; null (the default) costs one branch per site. The sink must
@@ -116,32 +106,30 @@ struct ParallelResult {
 
 /// §6's parallel machine on real threads: N workers, each an in-place
 /// Runner, exchanging work through a WorkStealingScheduler (the
-/// minimum-seeking network analogue).
+/// minimum-seeking network analogue). The engine owns an Executor of
+/// max(1, workers) threads, started once and reused by every solve.
 class ParallelEngine {
 public:
-  /// Bind the engine to a program/weight store/builtin evaluator. The
-  /// referenced objects must outlive the engine.
+  /// Bind the engine to a program/weight store/builtin evaluator and start
+  /// its pool. The referenced objects must outlive the engine.
   ParallelEngine(const db::Program& program, db::WeightStore& weights,
                  search::BuiltinEvaluator* builtins, ParallelOptions opts = {});
+  ~ParallelEngine();
 
-  /// Run one parallel search of `q` to completion (or budget/stop).
+  ParallelEngine(const ParallelEngine&) = delete;
+  ParallelEngine& operator=(const ParallelEngine&) = delete;
+
+  /// Run one parallel search of `q` to completion (or budget/stop) as one
+  /// job on the engine's pool. At one worker the job is a depth-first
+  /// SearchEngine solve, which visits the chains in the same order.
   ParallelResult solve(const search::Query& q);
-
-  /// Multi-root solve: every query in `roots` becomes one tagged root
-  /// (fork_tag = index) seeded into the *same* scheduler partition, so
-  /// sibling AND-parallel work items and the OR-alternatives inside each
-  /// are stolen by the same idle workers under one termination detector.
-  /// `fork_nodes` (optional, `fork_tag_count` atomics) receives per-root
-  /// expansion counts — see JobControls::fork_nodes.
-  ParallelResult solve_forked(std::span<const search::Query> roots,
-                              std::atomic<std::uint64_t>* fork_nodes = nullptr,
-                              std::uint32_t fork_tag_count = 0);
 
 private:
   const db::Program& program_;
   db::WeightStore& weights_;
   search::BuiltinEvaluator* builtins_;
   ParallelOptions opts_;
+  std::unique_ptr<Executor> pool_;
 };
 
 }  // namespace blog::parallel

@@ -2,12 +2,12 @@
 /// \brief Executor: the process-wide persistent worker pool.
 ///
 /// §6's machine is a *standing* array of processors fed by the
-/// minimum-seeking network — but ParallelEngine::solve spawns, pins, and
-/// joins its own threads per query, so per-query overhead is thread
-/// creation, not enqueue cost. The Executor makes the processor array
+/// minimum-seeking network. The Executor makes the processor array
 /// resident: `workers` threads are created, NUMA-placed, and pinned
 /// **once** (round-robin across the detected topology), and every query
-/// becomes a schedulable *job* multiplexed onto the pool.
+/// becomes a schedulable *job* multiplexed onto the pool. It is the only
+/// code that starts search threads: ParallelEngine and the AND-parallel
+/// path submit jobs to one.
 ///
 /// Isolation: each job owns a private WorkStealingScheduler — its partition
 /// of the minimum-seeking network. Two concurrent jobs' chains can never
@@ -25,7 +25,9 @@
 /// `queue_limit` bounds the jobs waiting for one to start. A JobTicket is
 /// the client handle: wait()/poll(), queue_position(), cancel()
 /// (cooperative: workers stop at their next expansion boundary), and
-/// streamed answers via JobRequest::on_answer.
+/// streamed answers via JobRequest::on_answer. A job also stops at its
+/// next expansion boundary once the caller's ParallelOptions::cancel flag
+/// is set.
 #pragma once
 
 #include <condition_variable>
@@ -86,9 +88,9 @@ struct JobRequest {
   /// Open-list policy of a sequential (slots == 1) job; parallel jobs use
   /// the scheduler's best-first order.
   search::Strategy strategy = search::Strategy::BestFirst;
-  /// Limits, §6 knobs, scheduler tuning, trace sink. `workers` is
-  /// ignored (`slots` wins); `cancel`/`on_solution` are owned by the
-  /// executor (use JobTicket::cancel and `on_answer`).
+  /// Limits, §6 knobs, scheduler tuning, trace sink and the caller's
+  /// `cancel` flag. `workers` is ignored (`slots` wins) and so is
+  /// `on_solution` (use `on_answer`).
   ParallelOptions opts;
   /// Streamed answers: called once per recorded answer, in discovery
   /// order, from a pool worker under the job's solution lock. The
@@ -117,6 +119,9 @@ class JobTicket {
   /// Block until the job completes; the result stays valid while any
   /// ticket copy is alive. Invalid tickets return a static empty result.
   const ParallelResult& wait() const;
+  /// wait(), then move the result out: no copy of the answers. Only for a
+  /// ticket no other copy reads; they would see an empty result.
+  ParallelResult take() const;
   /// Request cooperative cancellation. A still-queued job completes
   /// immediately with Outcome::Cancelled; a running job stops at its
   /// workers' next expansion boundary (answers found so far are kept).

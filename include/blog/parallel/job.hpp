@@ -1,14 +1,12 @@
 /// \file
-/// \brief The shared per-job worker loop: one search job's per-expansion
-/// behaviour, factored out of ParallelEngine so the spawn-per-solve engine
-/// and the persistent Executor pool run byte-identical searches.
+/// \brief The per-job worker loop: one search job's per-expansion
+/// behaviour, run by the Executor's pool workers.
 ///
 /// A *job* is one query's OR-search: a WorkStealingScheduler instance (its
 /// private partition of the minimum-seeking network — two jobs' chains can
 /// never mix because they live in different schedulers), a JobControls
 /// bundle (budgets, stop cause, the shared solution vector, streaming
-/// hook), and a JobConfig (the per-expansion knobs distilled from
-/// ParallelOptions).
+/// hook), and the job's ParallelOptions.
 /// `run_job_worker` runs one worker ("processor") against that job until
 /// the job terminates, is stopped, or the worker's acquire drains.
 #pragma once
@@ -18,16 +16,6 @@
 #include "blog/parallel/engine.hpp"
 
 namespace blog::parallel {
-
-/// Per-expansion knobs of one job, distilled from ParallelOptions (the
-/// subset the inner loop actually reads; scheduler construction knobs stay
-/// with whoever builds the scheduler).
-struct JobConfig {
-  double d_threshold = 0.0;        ///< §6's D (bound units)
-  std::size_t local_capacity = 8;  ///< spill to the scheduler beyond this
-  bool update_weights = true;      ///< apply §5 updates as chains resolve
-  obs::TraceSink* trace = nullptr;  ///< flight recorder (may be null)
-};
 
 /// Shared mutable state of one job: cooperative cutoffs, the first-stop
 /// cause, and the answer sink. One instance per job, shared by every
@@ -44,7 +32,9 @@ struct JobControls {
   std::atomic<int> stop_cause{-1};
   /// Wall-clock cutoff (steady clock); epoch = none.
   std::chrono::steady_clock::time_point deadline{};
-  /// Cooperative cancel flag (may be null). Checked once per expansion.
+  /// The caller's cancel flag (ParallelOptions::cancel; may be null).
+  /// Checked once per expansion; JobTicket::cancel stops the scheduler
+  /// instead.
   const std::atomic<bool>* cancel = nullptr;
   std::mutex sol_mu;                         ///< guards solutions + hook
   std::vector<search::Solution> solutions;   ///< recorded answers
@@ -91,13 +81,14 @@ void report_stop(std::atomic<int>& cause, search::Outcome o);
 /// Run one worker against one job until the job terminates or stops.
 ///
 /// `slot` is the worker's index *within the job's scheduler* (0..slots-1);
-/// `lane` is the flight-recorder lane (the pool worker id under the
-/// Executor, == slot under ParallelEngine). Reentrant: many workers may run
-/// this concurrently against the same JobControls/scheduler, each with a
+/// `lane` is the flight-recorder lane (the pool worker id). `opts` are the
+/// job's options; the loop reads `d_threshold`, `local_capacity`,
+/// `update_weights` and `trace`. Reentrant: many workers may run this
+/// concurrently against the same JobControls/scheduler, each with a
 /// distinct slot.
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
                     WorkStealingScheduler& net, unsigned slot,
-                    std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
-                    JobControls& ctl);
+                    std::uint16_t lane, WorkerStats& ws,
+                    const ParallelOptions& opts, JobControls& ctl);
 
 }  // namespace blog::parallel

@@ -22,13 +22,7 @@
 ///
 /// A thief that wins a handle's claim CAS waits on the handle until the
 /// owner deposits the copy at its next expansion boundary (or kills the
-/// handle on stop). Victim scans are **NUMA-aware**: every deque is tagged
-/// with the NUMA node its worker is placed on (round-robin over the
-/// detected topology, topology.hpp), and scans prefer the minimum-holding
-/// deque on the scanner's own node, crossing the interconnect only when a
-/// remote minimum beats the best local one by more than a configurable
-/// locality bias. Single-node hosts take the exact pre-NUMA scan. See
-/// docs/ARCHITECTURE.md for the protocol walk-through.
+/// handle on stop). See docs/ARCHITECTURE.md for the protocol walk-through.
 #pragma once
 
 #include <atomic>
@@ -51,8 +45,8 @@ namespace blog::parallel {
 /// (except none — all only grow), so stats() may be called from
 /// any thread at any time during a live run: the snapshot is a set of
 /// individually-consistent monotone counters, never a half-written struct.
-/// Cross-counter invariants (e.g. steals == steals_local + steals_remote)
-/// hold exactly only at quiescence.
+/// Cross-counter invariants (e.g. handle_grants <= handle_claims) hold
+/// exactly only at quiescence.
 struct SchedulerStats {
   std::uint64_t pushes = 0;             ///< chains entering any queue
   std::uint64_t pops = 0;               ///< chains handed to processors
@@ -61,11 +55,6 @@ struct SchedulerStats {
   std::uint64_t steal_attempts = 0;     ///< victim scans that found a target
   std::uint64_t offloads = 0;           ///< overflow batches pushed to a victim
   std::uint64_t lock_acquisitions = 0;  ///< mutex locks taken, all paths
-  /// Cross-worker transfers whose thief and victim deque share a NUMA
-  /// node. steals_local + steals_remote == steals on multi-node hosts;
-  /// single-node hosts count everything local.
-  std::uint64_t steals_local = 0;
-  std::uint64_t steals_remote = 0;      ///< transfers that crossed nodes
   // Copy-on-steal traffic.
   std::uint64_t handles_published = 0;  ///< lazy entries entering deques
   std::uint64_t handle_claims = 0;      ///< thief claim CASes won
@@ -81,29 +70,19 @@ struct SchedulerStats {
   std::uint64_t expansions = 0;
 };
 
-/// Tuning of the work-stealing scheduler's adaptive bounds and locality
-/// behaviour. Each worker tracks an EWMA of its steal pressure — were any
-/// of its entries stolen (or was anyone starving) since its last spill? —
-/// and scales both its deque capacity and the suggested engine-side local
-/// capacity around the configured seeds: pressure 0.5 is neutral, 0 grows
-/// toward the upper bound (lone-hot workers stop sharding their pool), 1
-/// shrinks toward the lower bound (saturated pools shed earlier).
+/// Tuning of the work-stealing scheduler's adaptive bounds. Each worker
+/// tracks an EWMA of its steal pressure — were any of its entries stolen
+/// (or was anyone starving) since its last spill? — and scales both its
+/// deque capacity and the suggested engine-side local capacity around the
+/// configured seeds: pressure 0.5 is neutral, 0 grows toward the upper
+/// bound (lone-hot workers stop sharding their pool), 1 shrinks toward the
+/// lower bound (saturated pools shed earlier).
 struct SchedulerTuning {
   bool adaptive = true;             ///< float capacities with steal pressure
   std::uint32_t ewma_window = 64;   ///< EWMA horizon, in spill events
   std::size_t min_capacity = 4;     ///< adaptive lower bound
   std::size_t max_capacity = 512;   ///< adaptive upper bound
   std::size_t local_capacity_seed = 8;  ///< engine local_capacity seed
-  /// Use the detected host topology (topology.hpp) to tag deques with
-  /// NUMA node ids and bias victim scans toward same-node deques. On a
-  /// single-node host this is a no-op regardless of the flag.
-  bool numa_aware = true;
-  /// Explicit worker→node assignment (tests, custom placement). Empty =
-  /// round-robin over Topology::system() when `numa_aware`, else all 0.
-  std::vector<std::uint32_t> worker_nodes;
-  /// Bound units a *remote-node* published minimum must beat the best
-  /// same-node candidate by before a scan crosses the interconnect.
-  double locality_bias = 1.0;
   /// Flight recorder (see obs/trace.hpp). When non-null the scheduler
   /// records steal/spill/claim/starvation events into it; null (the
   /// default) compiles every site down to one branch.
@@ -111,7 +90,7 @@ struct SchedulerTuning {
 };
 
 /// Work-stealing scheduler: per-worker bounded deques, lock-free published
-/// minima, NUMA-biased steal-half, counter-based distributed termination,
+/// minima, minimum-seeking steal-half, counter-based distributed termination,
 /// copy-on-steal spill handles and adaptive per-worker capacities. Worker
 /// ids address the per-worker deques.
 class WorkStealingScheduler {
@@ -183,10 +162,6 @@ public:
   /// adaptivity is off). Exposed for tests and the bench reporter.
   [[nodiscard]] std::size_t deque_capacity(unsigned worker) const;
 
-  /// NUMA node `worker`'s deque is tagged with (0 on single-node hosts).
-  /// Exposed for tests and the bench reporter.
-  [[nodiscard]] std::uint32_t worker_node(unsigned worker) const;
-
 private:
   // One deque entry: either a materialized chain (`lazy == nullptr`) or a
   // copy-on-steal handle whose state still lives on the owner's stack.
@@ -212,9 +187,6 @@ private:
     std::vector<Entry> pool;  // std::*_heap managed, front = minimum bound
     std::atomic<double> pub_min;
     std::atomic<std::uint32_t> pub_size{0};
-    // NUMA node this worker is placed on; victim scans read it lock-free
-    // alongside the min/size summary.
-    std::uint32_t node = 0;
     // Adaptive bounds, published alongside the size/min summary.
     std::atomic<std::uint32_t> cap{64};
     std::atomic<std::uint32_t> local_hint{8};
@@ -247,13 +219,11 @@ private:
   /// The shared spill path of push_batch/push_handles: enqueue on `self`'s
   /// deque, sweep stale entries, shed overflow to a starving peer, adapt.
   void enqueue_spill(unsigned self, std::vector<Entry> es);
-  /// Record one cross-worker transfer from `victim_deque` to `thief` in
-  /// the steals counter and its local/remote locality split.
-  void record_steal(unsigned thief, unsigned victim_deque, std::uint64_t n);
-  /// Locality-biased victim selection over the published minima: the best
-  /// same-node candidate wins unless a remote-node candidate beats it by
-  /// more than `locality_bias`. Only candidates strictly below
-  /// `require_below` qualify; `deques_.size()` = none found.
+  /// Record `n` entries moved by one cross-worker transfer to `thief`.
+  void record_steal(unsigned thief, std::uint64_t n);
+  /// Minimum-seeking victim selection over the published minima: the
+  /// deque with the lowest one strictly below `require_below`, the own
+  /// deque first on ties; `deques_.size()` = none found.
   unsigned pick_victim(unsigned self, double require_below,
                        bool include_self) const;
   /// Steal the best chain of `victim` for `thief`; when `bulk`, also move
@@ -282,7 +252,6 @@ private:
   // Stats, updated with relaxed atomics (hot-path friendly).
   std::atomic<std::uint64_t> pushes_{0}, pops_{0}, grants_{0}, steals_{0},
       steal_attempts_{0}, offloads_{0}, locks_{0};
-  std::atomic<std::uint64_t> steals_local_{0}, steals_remote_{0};
   std::atomic<std::uint64_t> handles_published_{0}, handle_claims_{0},
       handle_grants_{0}, stale_discards_{0};
   std::atomic<std::uint64_t> claim_wait_spins_{0}, claim_wait_us_{0};

@@ -5,12 +5,11 @@
 /// interconnect: a freed processor should acquire a chain from a nearby
 /// memory before paying a cross-link copy. On multi-socket hosts the
 /// software analogue is NUMA awareness — know which cores share a memory
-/// node, place workers round-robin across nodes, and let the scheduler's
-/// victim scans prefer same-node deques. Detection reads
-/// `/sys/devices/system/node`; anything else (single-socket hosts,
-/// non-Linux platforms, containers hiding sysfs) degrades to a single
-/// node covering every CPU, in which case every consumer takes the exact
-/// pre-NUMA code path.
+/// node and place the executor's pool threads round-robin across nodes.
+/// Detection reads `/sys/devices/system/node`; anything else
+/// (single-socket hosts, non-Linux platforms, containers hiding sysfs)
+/// degrades to a single node covering every CPU, in which case the pool
+/// skips placement and pinning.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +29,7 @@ struct NumaNode {
 /// The host's node layout plus the worker→node placement rule.
 ///
 /// Workers are placed round-robin across nodes (`node_of_worker`), so any
-/// worker count spreads evenly and two consumers (the engine pinning
-/// threads, the scheduler tagging deques) agree on the mapping without
-/// sharing state.
+/// worker count spreads evenly.
 class Topology {
  public:
   /// An empty topology behaves as one node with one CPU.
@@ -44,7 +41,7 @@ class Topology {
   [[nodiscard]] unsigned node_count() const {
     return nodes_.empty() ? 1u : static_cast<unsigned>(nodes_.size());
   }
-  /// True when victim locality cannot matter (one node — the fallback).
+  /// True when placement cannot matter (one node — the fallback).
   [[nodiscard]] bool single_node() const { return node_count() <= 1; }
   /// The detected nodes (empty for the fallback topology).
   [[nodiscard]] const std::vector<NumaNode>& nodes() const { return nodes_; }

@@ -100,17 +100,22 @@ public:
   /// between frontier pops) and deep-copies state only for frontier spills
   /// and solutions. When an observer is attached, the engine falls back to
   /// the legacy materializing path so every hook still receives full
-  /// nodes.
+  /// nodes. `stop`, when non-null, is checked with `opts.cancel` at every
+  /// expansion boundary (an Executor job passes its ticket's flag, so it
+  /// stops on either its caller's flag or its ticket's).
   SearchResult solve(const Query& q, const SearchOptions& opts,
-                     SearchObserver* observer = nullptr);
+                     SearchObserver* observer = nullptr,
+                     const std::atomic<bool>* stop = nullptr);
 
   /// The weight store §5 updates mutate.
   [[nodiscard]] db::WeightStore& weights() { return weights_; }
 
 private:
-  SearchResult solve_inplace(const Query& q, const SearchOptions& opts);
+  SearchResult solve_inplace(const Query& q, const SearchOptions& opts,
+                             const std::atomic<bool>* stop);
   SearchResult solve_detached(const Query& q, const SearchOptions& opts,
-                              SearchObserver* observer);
+                              SearchObserver* observer,
+                              const std::atomic<bool>* stop);
 
   const db::Program& program_;
   db::WeightStore& weights_;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <deque>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -32,11 +31,10 @@ public:
   [[nodiscard]] virtual bool empty() const = 0;
   /// Number of queued nodes.
   [[nodiscard]] virtual std::size_t size() const = 0;
-  /// Smallest bound currently in the frontier. O(1) on every policy:
-  /// BestFirst reads the heap top, DepthFirst keeps a running-minimum
-  /// mirror stack, BreadthFirst a monotonic min-deque — so pollers (the
-  /// service stats path, the in-place engine's burst admissibility test)
-  /// never pay a scan. +infinity when empty.
+  /// Smallest bound currently in the frontier; +infinity when empty.
+  /// BestFirst reads its heap top in O(1) (the in-place engine's burst
+  /// admissibility test polls it every expansion); DepthFirst and
+  /// BreadthFirst, which nothing polls, scan.
   [[nodiscard]] virtual double min_bound() const = 0;
   /// Drop all nodes with bound > cutoff; returns how many were pruned.
   virtual std::size_t prune_above(double cutoff) = 0;
@@ -50,17 +48,11 @@ public:
   Node pop() override;
   [[nodiscard]] bool empty() const override { return stack_.empty(); }
   [[nodiscard]] std::size_t size() const override { return stack_.size(); }
-  [[nodiscard]] double min_bound() const override {
-    return mins_.empty() ? std::numeric_limits<double>::infinity()
-                         : mins_.back();
-  }
+  [[nodiscard]] double min_bound() const override;
   std::size_t prune_above(double cutoff) override;
 
 private:
   std::vector<Node> stack_;
-  // mins_[i] = min bound of stack_[0..i]: the classic min-stack, giving
-  // O(1) push/pop/min.
-  std::vector<double> mins_;
 };
 
 /// FIFO.
@@ -70,19 +62,11 @@ public:
   Node pop() override;
   [[nodiscard]] bool empty() const override { return q_.empty(); }
   [[nodiscard]] std::size_t size() const override { return q_.size(); }
-  [[nodiscard]] double min_bound() const override {
-    return minq_.empty() ? std::numeric_limits<double>::infinity()
-                         : minq_.front();
-  }
+  [[nodiscard]] double min_bound() const override;
   std::size_t prune_above(double cutoff) override;
 
 private:
-  void rebuild_minq();
-
   std::deque<Node> q_;
-  // Monotonic non-decreasing deque of candidate minima (the sliding-window
-  // minimum structure): front is the queue's minimum, amortized O(1).
-  std::deque<double> minq_;
 };
 
 /// Min-heap on (bound, insertion order): the branch-and-bound open list.

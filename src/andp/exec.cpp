@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "blog/analysis/domain.hpp"
 #include "blog/obs/trace.hpp"
@@ -76,19 +77,46 @@ Relation item_relation(const WorkItem& item,
   return r;
 }
 
+/// Per goal of a conjunction: the '(' written before it and the ')' after.
+using GoalParens = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// The parentheses search::solution_text writes around each goal of the
+/// conjunction `t` (left to right, as flatten_conjunction lists them): a
+/// conjunction in the left argument of `,` is written at priority 999 and
+/// so parenthesized; one in the right argument (xfy) is not.
+void conjunction_parens(const term::Store& s, term::TermRef t, bool left,
+                        GoalParens& out) {
+  t = s.deref(t);
+  if (!s.is_struct(t) || s.functor(t) != term::comma_symbol() ||
+      s.arity(t) != 2) {
+    out.emplace_back(0, 0);
+    return;
+  }
+  const std::size_t first = out.size();
+  conjunction_parens(s, s.arg(t, 0), true, out);
+  conjunction_parens(s, s.arg(t, 1), false, out);
+  if (left) {
+    ++out[first].first;
+    ++out.back().second;
+  }
+}
+
 /// Render `combined` rows as the sequential engine writes the answer
 /// template, sorted: "X=a,Y=b" over the named variables in query order,
-/// or the goals' instances "p(1),q(2)" when the query names none.
+/// or, when the query names none, the query with each goal replaced by its
+/// instance ("(p(1),q(2)),p(3)"); `parens` holds each goal's parentheses.
 void render_solutions(const Relation& combined, const ForkPlan& plan,
-                      std::vector<std::string>& out) {
+                      const GoalParens& parens, std::vector<std::string>& out) {
   for (const auto& row : combined.rows) {
     std::string text;
-    for (const auto& [name, v] : plan.columns) {
-      const auto col = combined.column(name);
+    for (std::size_t i = 0; i < plan.columns.size(); ++i) {
+      const auto col = combined.column(plan.columns[i].first);
       if (col < 0) continue;
       if (!text.empty()) text += ",";
-      if (!plan.instances) text += symbol_name(name) + "=";
+      if (plan.instances) text.append(parens[i].first, '(');
+      else text += symbol_name(plan.columns[i].first) + "=";
       text += row[static_cast<std::size_t>(col)];
+      if (plan.instances) text.append(parens[i].second, ')');
     }
     if (text.empty()) text = "true";
     out.push_back(std::move(text));
@@ -113,8 +141,8 @@ void apply_solution_limit(AndParallelResult& out, std::size_t max_solutions) {
 /// partial relation.
 void solve_legacy(engine::Interpreter& ip, const term::Store& store,
                   const std::vector<term::TermRef>& goals, GoalVarCache& cache,
-                  const ForkPlan& plan, const AndParallelOptions& opts,
-                  AndParallelResult& out) {
+                  const ForkPlan& plan, const GoalParens& parens,
+                  const AndParallelOptions& opts, AndParallelResult& out) {
   std::size_t nodes_used = 0;
   const std::size_t max_nodes = opts.search.limits.max_nodes;
   // Per-group engine options: the remaining global node budget, no
@@ -206,17 +234,17 @@ void solve_legacy(engine::Interpreter& ip, const term::Store& store,
     if (combined.rows.empty() && !combined.schema.empty()) break;
   }
 
-  render_solutions(combined, plan, out.solutions);
+  render_solutions(combined, plan, parens, out.solutions);
 }
 
 /// Unified execution: all work items forked into one scheduler partition
-/// (standalone workers or an Executor job), answers deposited into a
-/// JoinNode, combined exactly once after the partition's termination
-/// detector fires.
+/// as one Executor job (on `opts.executor`, or on a pool started for the
+/// call), answers deposited into a JoinNode, combined exactly once after
+/// the partition's termination detector fires.
 void solve_unified(engine::Interpreter& ip, const term::Store& store,
                    const std::vector<term::TermRef>& goals, GoalVarCache& cache,
-                   ForkPlan& plan, const AndParallelOptions& opts,
-                   AndParallelResult& out) {
+                   ForkPlan& plan, const GoalParens& parens,
+                   const AndParallelOptions& opts, AndParallelResult& out) {
   const std::size_t n_items = plan.items.size();
   out.unified = true;
   out.forked_items = n_items;
@@ -241,53 +269,41 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
     obs::trace(trace, obs::client_lane(), obs::EventKind::kAndFork,
                static_cast<std::uint32_t>(item.id));
 
-  parallel::ParallelOptions popts;
-  popts.workers = std::max(1u, opts.workers);
-  popts.limits = opts.search.limits;
+  // One pool job whose partition holds every forked root: items[0] is the
+  // job's query (fork_tag 0), the rest ride as child work items.
+  parallel::JobRequest req;
+  req.program = &ip.program();
+  req.weights = &ip.weights();
+  req.builtins = &ip.builtins();
+  req.slots = std::max(1u, opts.workers);
+  req.opts.limits = opts.search.limits;
   // max_solutions bounds the *joined* set; the items run unbounded and
   // the cap is applied after the combine (apply_solution_limit).
-  popts.limits.max_solutions = std::numeric_limits<std::size_t>::max();
-  popts.update_weights = opts.search.update_weights;
-  popts.expander = opts.search.expander;
-  popts.cancel = opts.search.cancel;
-  popts.trace = trace;
+  req.opts.limits.max_solutions = std::numeric_limits<std::size_t>::max();
+  req.opts.update_weights = opts.search.update_weights;
+  req.opts.expander = opts.search.expander;
+  req.opts.cancel = opts.search.cancel;
+  req.opts.trace = trace;
+  req.query = std::move(plan.items[0].query);
+  req.forks.reserve(n_items - 1);
+  for (std::size_t i = 1; i < n_items; ++i)
+    req.forks.push_back(std::move(plan.items[i].query));
+  req.fork_nodes = fork_nodes.data();
+  req.fork_tag_count = static_cast<std::uint32_t>(n_items);
+  req.on_answer = sink;
 
-  parallel::ParallelResult pr;
-  if (opts.executor != nullptr) {
-    // One pool job whose partition holds every forked root: items[0] is
-    // the job's query (fork_tag 0), the rest ride as child work items.
-    parallel::JobRequest req;
-    req.program = &ip.program();
-    req.weights = &ip.weights();
-    req.builtins = &ip.builtins();
-    req.slots = popts.workers;
-    req.opts = popts;
-    req.query = std::move(plan.items[0].query);
-    req.forks.reserve(n_items - 1);
-    for (std::size_t i = 1; i < n_items; ++i)
-      req.forks.push_back(std::move(plan.items[i].query));
-    req.fork_nodes = fork_nodes.data();
-    req.fork_tag_count = static_cast<std::uint32_t>(n_items);
-    req.on_answer = sink;
-    const parallel::JobTicket ticket = opts.executor->submit(std::move(req));
-    if (!ticket.valid()) {
-      // Pool refused (queue full): honest refusal, no partial answers.
-      out.outcome = search::Outcome::Cancelled;
-      jn.mark_incomplete();
-    } else {
-      pr = ticket.wait();
-    }
+  std::optional<parallel::Executor> own_pool;
+  parallel::Executor* pool = opts.executor;
+  if (pool == nullptr)
+    pool = &own_pool.emplace(parallel::ExecutorOptions{.workers = req.slots});
+  const parallel::JobTicket ticket = pool->submit(std::move(req));
+  if (!ticket.valid()) {
+    // Pool refused (queue full): honest refusal, no partial answers.
+    out.outcome = search::Outcome::Cancelled;
+    jn.mark_incomplete();
   } else {
-    popts.on_solution = sink;
-    std::vector<search::Query> roots;
-    roots.reserve(n_items);
-    for (WorkItem& item : plan.items) roots.push_back(std::move(item.query));
-    parallel::ParallelEngine eng(ip.program(), ip.weights(), &ip.builtins(),
-                                 popts);
-    pr = eng.solve_forked(roots, fork_nodes.data(),
-                          static_cast<std::uint32_t>(n_items));
+    out.outcome = ticket.wait().outcome;
   }
-  if (out.outcome == search::Outcome::Exhausted) out.outcome = pr.outcome;
 
   // Per-group node attribution from the fork-tag counters.
   std::vector<std::size_t> group_nodes(plan.analysis.groups.size(), 0);
@@ -378,7 +394,7 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
 
   obs::trace(trace, obs::client_lane(), obs::EventKind::kAndJoin,
              static_cast<std::uint32_t>(combined.rows.size()));
-  render_solutions(combined, plan, out.solutions);
+  render_solutions(combined, plan, parens, out.solutions);
 }
 
 }  // namespace
@@ -413,11 +429,13 @@ AndParallelResult solve_and_parallel(engine::Interpreter& ip,
                 opts.use_semi_join, opts.search.expander.static_analysis);
   out.shared_vars = plan.analysis.shared_vars;
   out.static_independent = plan.static_independent;
+  GoalParens parens;
+  conjunction_parens(store, rt.term, false, parens);
 
   if (opts.unified)
-    solve_unified(ip, store, goals, var_cache, plan, opts, out);
+    solve_unified(ip, store, goals, var_cache, plan, parens, opts, out);
   else
-    solve_legacy(ip, store, goals, var_cache, plan, opts, out);
+    solve_legacy(ip, store, goals, var_cache, plan, parens, opts, out);
 
   apply_solution_limit(out, opts.search.limits.max_solutions);
   return out;

@@ -26,9 +26,11 @@ struct JobState {
   std::unique_ptr<search::Expander> expander;
   std::unique_ptr<WorkStealingScheduler> net;
   JobControls ctl;
-  JobConfig cfg;
   std::vector<WorkerStats> wstats;
 
+  // The ticket's flag: JobTicket::cancel sets it. The one-slot path checks
+  // it with the caller's flag; a scheduler-backed job is stopped through
+  // its scheduler instead.
   std::atomic<bool> cancel_flag{false};
 
   // Dispatch bookkeeping, guarded by the executor's mu_.
@@ -68,6 +70,12 @@ const ParallelResult& JobTicket::wait() const {
     return state_->done_flag.load(std::memory_order_acquire);
   });
   return state_->result;
+}
+
+ParallelResult JobTicket::take() const {
+  if (state_ == nullptr) return {};
+  wait();
+  return std::move(state_->result);
 }
 
 bool JobTicket::cancel() const {
@@ -146,11 +154,6 @@ JobTicket Executor::submit(JobRequest req) {
     tuning.adaptive = r.opts.adaptive_capacity;
     tuning.ewma_window = r.opts.capacity_ewma_window;
     tuning.local_capacity_seed = r.opts.local_capacity;
-    // Per-job schedulers run node-agnostic: the slot→pool-worker binding
-    // is dynamic, so tagging a slot's deque with a topology node would
-    // claim a locality the attachment order cannot guarantee. The pool
-    // threads themselves are NUMA-placed and pinned once at startup.
-    tuning.numa_aware = false;
     tuning.trace = r.opts.trace;
     job->net = std::make_unique<WorkStealingScheduler>(
         job->slots, r.opts.steal_deque_capacity, tuning);
@@ -160,7 +163,7 @@ JobTicket Executor::submit(JobRequest req) {
       root.fork_tag = static_cast<std::uint32_t>(i + 1);
       job->net->push_root(std::move(root));
     }
-    job->ctl.arm(r.opts.limits, &job->cancel_flag);
+    job->ctl.arm(r.opts.limits, r.opts.cancel);
     job->ctl.fork_nodes = r.fork_nodes;
     job->ctl.fork_tag_count = r.fork_tag_count;
     if (r.on_answer) {
@@ -169,10 +172,6 @@ JobTicket Executor::submit(JobRequest req) {
         js->req.on_answer(s);
       };
     }
-    job->cfg.d_threshold = r.opts.d_threshold;
-    job->cfg.local_capacity = r.opts.local_capacity;
-    job->cfg.update_weights = r.opts.update_weights;
-    job->cfg.trace = r.opts.trace;
     job->wstats.resize(job->slots);
   }
 
@@ -219,7 +218,7 @@ bool Executor::cancel_job(const std::shared_ptr<detail::JobState>& job) {
       report_stop(job->ctl.stop_cause, search::Outcome::Cancelled);
       job->net->stop();
     }
-    // Sequential running jobs only need cancel_flag (checked by the
+    // A running one-slot job only needs cancel_flag (checked by the
     // engine once per expansion).
   }
   obs::trace(job->req.opts.trace, obs::client_lane(),
@@ -233,8 +232,8 @@ bool Executor::cancel_job(const std::shared_ptr<detail::JobState>& job) {
 }
 
 void Executor::worker_main(unsigned worker) {
-  // NUMA placement mirrors ParallelEngine's: round-robin across detected
-  // nodes, pinned once for the pool's lifetime (best effort).
+  // NUMA placement: round-robin across detected nodes, pinned once for
+  // the pool's lifetime (best effort).
   const Topology& topo = Topology::system();
   unsigned numa_node = 0;
   if (opts_.numa_aware && !topo.single_node()) {
@@ -281,7 +280,7 @@ void Executor::worker_main(unsigned worker) {
     }
     if (wake) cv_.notify_all();
     if (first)
-      obs::trace(job->cfg.trace, static_cast<std::uint16_t>(worker),
+      obs::trace(job->req.opts.trace, static_cast<std::uint16_t>(worker),
                  obs::EventKind::kJobStart,
                  static_cast<std::uint32_t>(job->id));
 
@@ -289,7 +288,7 @@ void Executor::worker_main(unsigned worker) {
       if (!job->wstats[slot].numa_node) job->wstats[slot].numa_node = numa_node;
       run_job_worker(*job->expander, *job->req.weights, *job->net, slot,
                      static_cast<std::uint16_t>(worker), job->wstats[slot],
-                     job->cfg, job->ctl);
+                     job->req.opts, job->ctl);
     } else {
       run_sequential(*job);
     }
@@ -324,10 +323,14 @@ void Executor::run_sequential(detail::JobState& job) {
   so.update_weights = r.opts.update_weights;
   so.expander = r.opts.expander;
   so.trace = r.opts.trace;
-  so.cancel = &job.cancel_flag;
+  so.cancel = r.opts.cancel;
   if (r.on_answer) so.on_solution = r.on_answer;
   search::SearchEngine eng(*r.program, *r.weights, r.builtins);
-  auto sr = eng.solve(r.query, so);
+  auto sr = eng.solve(r.query, so, nullptr, &job.cancel_flag);
+  // The job's only root carries fork tag 0.
+  if (r.fork_nodes != nullptr && r.fork_tag_count > 0)
+    r.fork_nodes[0].fetch_add(sr.stats.nodes_expanded,
+                              std::memory_order_relaxed);
 
   ParallelResult pr;
   pr.solutions = std::move(sr.solutions);

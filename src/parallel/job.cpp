@@ -13,15 +13,15 @@ void report_stop(std::atomic<int>& cause, search::Outcome o) {
 
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
                     WorkStealingScheduler& net, unsigned slot,
-                    std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
-                    JobControls& ctl) {
+                    std::uint16_t lane, WorkerStats& ws,
+                    const ParallelOptions& opts, JobControls& ctl) {
   search::Runner runner(expander);
   // The parallel loop's local bursts are depth-first and never prune
   // against an incumbent, so the commit path is always sound here; the
   // Expanded handler below keeps the scheduler's outstanding count right.
   runner.set_inplace_commit(true);
   search::ExpandStats estats;
-  obs::TraceSink* const trace = cfg.trace;
+  obs::TraceSink* const trace = opts.trace;
   // Expansions since the last scheduler interaction; flushed as one
   // kExpandBurst event at each boundary so the timeline shows in-place
   // bursts without paying one event per expansion.
@@ -75,7 +75,7 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
         ++ws.network_takes;
         obs::trace(trace, lane, obs::EventKind::kNetworkTake);
       } else if (auto better = net.try_acquire_better(
-                     slot, runner.min_pending_bound(), cfg.d_threshold)) {
+                     slot, runner.min_pending_bound(), opts.d_threshold)) {
         // The network minimum is more than D below our local minimum: the
         // freed task acquires the chain through the network (§6). The whole
         // local pool migrates out with it — copy-on-migration, batched.
@@ -140,7 +140,7 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
           net.on_expanded(0);
           break;
         }
-        if (cfg.update_weights)
+        if (opts.update_weights)
           search::update_on_success(weights, runner.state().chain.get());
         ++ws.solutions;
         obs::trace(trace, lane, obs::EventKind::kSolution,
@@ -183,7 +183,7 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
         // the deep copy happens only if a thief claims one.
         handles.clear();
         runner.publish_overflow(
-            slot, net.local_capacity_hint(slot, cfg.local_capacity), handles);
+            slot, net.local_capacity_hint(slot, opts.local_capacity), handles);
         if (!handles.empty()) {
           ws.handles_published += handles.size();
           net.push_handles(slot, std::move(handles));
@@ -194,7 +194,7 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
       }
       case search::NodeOutcome::Failure:
         ++ws.failures;
-        if (cfg.update_weights)
+        if (opts.update_weights)
           search::update_on_failure(weights, runner.state().chain.get());
         net.on_expanded(0);
         break;

@@ -6,8 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "blog/parallel/topology.hpp"
-
 namespace blog::parallel {
 namespace {
 
@@ -40,23 +38,10 @@ WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
       tuning_(std::move(tuning)),
       inflight_(0) {
   if (workers == 0) workers = 1;
-  // Worker→node placement: an explicit tuning map wins (tests, custom
-  // layouts); otherwise round-robin over the detected host topology. A
-  // single-node host tags every deque 0, which makes every locality
-  // branch below collapse to the pre-NUMA scan.
-  const Topology* topo = nullptr;
-  if (tuning_.worker_nodes.empty() && tuning_.numa_aware) {
-    topo = &Topology::system();
-    if (topo->single_node()) topo = nullptr;
-  }
   deques_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     auto d = std::make_unique<Deque>();
     d->pub_min.store(kInf, std::memory_order_relaxed);
-    if (!tuning_.worker_nodes.empty())
-      d->node = tuning_.worker_nodes[w % tuning_.worker_nodes.size()];
-    else if (topo != nullptr)
-      d->node = topo->node_of_worker(w);
     d->cap.store(static_cast<std::uint32_t>(capacity_seed_),
                  std::memory_order_relaxed);
     d->local_hint.store(
@@ -170,18 +155,13 @@ void WorkStealingScheduler::enqueue_spill(unsigned self,
   if (deques_.size() > 1 &&
       own.pub_size.load(std::memory_order_relaxed) + es.size() > capacity) {
     // Threshold at least 1 so empty peers qualify even at capacity 1.
-    // Same-node peers win ties: shedding across the interconnect is only
-    // worth it when the remote peer is strictly emptier.
     std::uint32_t best_size =
         static_cast<std::uint32_t>(std::max<std::size_t>(1, capacity / 2));
     for (unsigned v = 0; v < deques_.size(); ++v) {
       if (v == self) continue;
       const std::uint32_t sz =
           deques_[v]->pub_size.load(std::memory_order_relaxed);
-      if (sz < best_size ||
-          (sz == best_size && starving != self &&
-           deques_[v]->node == own.node &&
-           deques_[starving]->node != own.node)) {
+      if (sz < best_size) {
         best_size = sz;
         starving = v;
       }
@@ -268,60 +248,35 @@ std::size_t WorkStealingScheduler::deque_capacity(unsigned worker) const {
   return deques_[self]->cap.load(std::memory_order_relaxed);
 }
 
-std::uint32_t WorkStealingScheduler::worker_node(unsigned worker) const {
-  return deques_[worker % deques_.size()]->node;
-}
-
-void WorkStealingScheduler::record_steal(unsigned thief, unsigned victim_deque,
-                                         std::uint64_t n) {
+void WorkStealingScheduler::record_steal(unsigned thief, std::uint64_t n) {
   steals_.fetch_add(n, std::memory_order_relaxed);
-  const bool local = deques_[victim_deque]->node == deques_[thief]->node;
-  if (local)
-    steals_local_.fetch_add(n, std::memory_order_relaxed);
-  else
-    steals_remote_.fetch_add(n, std::memory_order_relaxed);
   obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
-             local ? EventKind::kStealLocal : EventKind::kStealRemote,
-             static_cast<std::uint32_t>(n));
+             EventKind::kSteal, static_cast<std::uint32_t>(n));
 }
 
 unsigned WorkStealingScheduler::pick_victim(unsigned self, double require_below,
                                             bool include_self) const {
-  // Locality-biased minimum-seeking scan (§6's network read, but
-  // interconnect-aware): track the best candidate on the scanner's own
-  // node and the best on any remote node separately, then cross the
-  // interconnect only when the remote minimum beats the local one by more
-  // than the configured bias. On a single-node host every deque shares
-  // node 0, the remote track stays empty, and the scan degenerates to the
-  // exact pre-NUMA strict-minimum sweep.
+  // Minimum-seeking scan (§6's network read): the strict minimum of the
+  // published minima, the scanner's own deque first so ties stay home.
   const unsigned n = static_cast<unsigned>(deques_.size());
-  const std::uint32_t my_node = deques_[self]->node;
-  unsigned local_v = n, remote_v = n;
-  double local_b = require_below, remote_b = require_below;
+  unsigned best_v = n;
+  double best_b = require_below;
   if (include_self) {
     const double own = deques_[self]->pub_min.load(std::memory_order_acquire);
-    if (own < local_b) {
-      local_b = own;
-      local_v = self;
+    if (own < best_b) {
+      best_b = own;
+      best_v = self;
     }
   }
   for (unsigned v = 0; v < n; ++v) {
     if (v == self) continue;
     const double m = deques_[v]->pub_min.load(std::memory_order_acquire);
-    if (deques_[v]->node == my_node) {
-      if (m < local_b) {
-        local_b = m;
-        local_v = v;
-      }
-    } else if (m < remote_b) {
-      remote_b = m;
-      remote_v = v;
+    if (m < best_b) {
+      best_b = m;
+      best_v = v;
     }
   }
-  if (remote_v != n &&
-      (local_v == n || remote_b < local_b - tuning_.locality_bias))
-    return remote_v;
-  return local_v;
+  return best_v;
 }
 
 std::optional<search::Node> WorkStealingScheduler::await_claim(
@@ -349,9 +304,7 @@ std::optional<search::Node> WorkStealingScheduler::await_claim(
       pops_.fetch_add(1, std::memory_order_relaxed);
       obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
                  EventKind::kHandleGrant, static_cast<std::uint32_t>(h->owner));
-      if (h->owner != thief)
-        record_steal(thief,
-                     h->owner % static_cast<unsigned>(deques_.size()), 1);
+      if (h->owner != thief) record_steal(thief, 1);
       claim_wait_us_.fetch_add(
           static_cast<std::uint64_t>(std::max<std::int64_t>(0, now_us() - t0)),
           std::memory_order_relaxed);
@@ -447,7 +400,7 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
   if (!loot.empty()) {
     const std::size_t n = loot.size();
     if (victim != thief) {
-      record_steal(thief, victim, n);
+      record_steal(thief, n);
       // Pressure rises for whoever the moved work belongs to: the handle
       // owner for lazy entries (wherever the entry happened to live), the
       // looted deque for materialized ones (their owner is unrecorded).
@@ -467,7 +420,7 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
     // cross-worker transfers count toward the bench's steal metric (and
     // toward the victim's steal-pressure EWMA).
     if (victim != thief) {
-      record_steal(thief, victim, 1);
+      record_steal(thief, 1);
       src.thefts_since_push.fetch_add(1, std::memory_order_relaxed);
     }
     return std::move(taken.node);
@@ -544,9 +497,8 @@ std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
     if (stop_.load(std::memory_order_acquire)) return std::nullopt;
 
     // Scan every published minimum for the best victim — §6's freed
-    // processor acquires the globally minimum-bound chain, preferring
-    // same-node victims within the locality bias. Ties favour the own
-    // deque (no cross-worker traffic).
+    // processor acquires the globally minimum-bound chain. Ties favour the
+    // own deque (no cross-worker traffic).
     const unsigned victim = pick_victim(self, kInf, /*include_self=*/true);
     if (victim != deques_.size()) {
       if (auto n = steal_from(self, victim, kInf, /*bulk=*/true,
@@ -609,8 +561,6 @@ SchedulerStats WorkStealingScheduler::stats() const {
   s.steal_attempts = steal_attempts_.load(std::memory_order_relaxed);
   s.offloads = offloads_.load(std::memory_order_relaxed);
   s.lock_acquisitions = locks_.load(std::memory_order_relaxed);
-  s.steals_local = steals_local_.load(std::memory_order_relaxed);
-  s.steals_remote = steals_remote_.load(std::memory_order_relaxed);
   s.handles_published = handles_published_.load(std::memory_order_relaxed);
   s.handle_claims = handle_claims_.load(std::memory_order_relaxed);
   s.handle_grants = handle_grants_.load(std::memory_order_relaxed);

@@ -21,6 +21,13 @@ void write_binding_value(std::string& out, const term::Store& s,
   term::write_term(out, s, value, {.quoted = true}, 699);
 }
 
+/// True when the caller's flag or the job's stop flag is set.
+bool cancelled(const SearchOptions& opts, const std::atomic<bool>* stop) {
+  return (opts.cancel != nullptr &&
+          opts.cancel->load(std::memory_order_relaxed)) ||
+         (stop != nullptr && stop->load(std::memory_order_relaxed));
+}
+
 }  // namespace
 
 std::string solution_text(const term::Store& s, term::TermRef answer) {
@@ -65,9 +72,10 @@ const char* outcome_name(Outcome o) {
 }
 
 SearchResult SearchEngine::solve(const Query& q, const SearchOptions& opts,
-                                 SearchObserver* observer) {
-  if (observer != nullptr) return solve_detached(q, opts, observer);
-  return solve_inplace(q, opts);
+                                 SearchObserver* observer,
+                                 const std::atomic<bool>* stop) {
+  if (observer != nullptr) return solve_detached(q, opts, observer, stop);
+  return solve_inplace(q, opts, stop);
 }
 
 // ---------------------------------------------------------------------------
@@ -84,7 +92,8 @@ SearchResult SearchEngine::solve(const Query& q, const SearchOptions& opts,
 //                   and pop the frontier.
 // ---------------------------------------------------------------------------
 SearchResult SearchEngine::solve_inplace(const Query& q,
-                                         const SearchOptions& opts) {
+                                         const SearchOptions& opts,
+                                         const std::atomic<bool>* stop) {
   Expander expander(program_, weights_, builtins_, opts.expander);
   auto frontier = make_frontier(opts.strategy);
   Runner runner(expander);
@@ -139,8 +148,7 @@ SearchResult SearchEngine::solve_inplace(const Query& q,
         break;  // space exhausted
       }
     }
-    if (opts.cancel != nullptr &&
-        opts.cancel->load(std::memory_order_relaxed)) {
+    if (cancelled(opts, stop)) {
       flush_burst();
       result.stats.expand.trail_writes = runner.trail_pushes();
       result.outcome = Outcome::Cancelled;
@@ -245,7 +253,8 @@ SearchResult SearchEngine::solve_inplace(const Query& q,
 // ---------------------------------------------------------------------------
 SearchResult SearchEngine::solve_detached(const Query& q,
                                           const SearchOptions& opts,
-                                          SearchObserver* observer) {
+                                          SearchObserver* observer,
+                                          const std::atomic<bool>* stop) {
   Expander expander(program_, weights_, builtins_, opts.expander);
   auto frontier = make_frontier(opts.strategy);
   frontier->push(expander.make_root(q));
@@ -255,8 +264,7 @@ SearchResult SearchEngine::solve_detached(const Query& q,
 
   ExpandOutput out;
   while (!frontier->empty()) {
-    if (opts.cancel != nullptr &&
-        opts.cancel->load(std::memory_order_relaxed)) {
+    if (cancelled(opts, stop)) {
       result.outcome = Outcome::Cancelled;
       return result;
     }

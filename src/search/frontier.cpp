@@ -14,53 +14,47 @@ const char* strategy_name(Strategy s) {
   return "?";
 }
 
-void DepthFirstFrontier::push(Node n) {
-  mins_.push_back(mins_.empty() ? n.bound : std::min(mins_.back(), n.bound));
-  stack_.push_back(std::move(n));
+namespace {
+
+/// Smallest bound among `nodes`; +infinity when there are none.
+template <typename Nodes>
+double scan_min_bound(const Nodes& nodes) {
+  double best = std::numeric_limits<double>::infinity();
+  for (const Node& n : nodes) best = std::min(best, n.bound);
+  return best;
 }
+
+}  // namespace
+
+void DepthFirstFrontier::push(Node n) { stack_.push_back(std::move(n)); }
 
 Node DepthFirstFrontier::pop() {
   Node n = std::move(stack_.back());
   stack_.pop_back();
-  mins_.pop_back();
   return n;
 }
+
+double DepthFirstFrontier::min_bound() const { return scan_min_bound(stack_); }
 
 std::size_t DepthFirstFrontier::prune_above(double cutoff) {
   const auto before = stack_.size();
   std::erase_if(stack_, [&](const Node& n) { return n.bound > cutoff; });
-  mins_.clear();
-  for (const Node& n : stack_)
-    mins_.push_back(mins_.empty() ? n.bound : std::min(mins_.back(), n.bound));
   return before - stack_.size();
 }
 
-void BreadthFirstFrontier::push(Node n) {
-  // Strict >: equal bounds stay queued so each pop retires one witness.
-  while (!minq_.empty() && minq_.back() > n.bound) minq_.pop_back();
-  minq_.push_back(n.bound);
-  q_.push_back(std::move(n));
-}
+void BreadthFirstFrontier::push(Node n) { q_.push_back(std::move(n)); }
 
 Node BreadthFirstFrontier::pop() {
   Node n = std::move(q_.front());
   q_.pop_front();
-  if (n.bound == minq_.front()) minq_.pop_front();
   return n;
 }
 
-void BreadthFirstFrontier::rebuild_minq() {
-  minq_.clear();
-  for (const Node& n : q_) {
-    while (!minq_.empty() && minq_.back() > n.bound) minq_.pop_back();
-    minq_.push_back(n.bound);
-  }
-}
+double BreadthFirstFrontier::min_bound() const { return scan_min_bound(q_); }
 
 std::size_t BreadthFirstFrontier::prune_above(double cutoff) {
   const auto before = q_.size();
   std::erase_if(q_, [&](const Node& n) { return n.bound > cutoff; });
-  rebuild_minq();
   return before - q_.size();
 }
 

@@ -398,6 +398,49 @@ TEST(Executor, DestructorStopsRunningJobs) {
   }
 }
 
+TEST(Executor, CallerFlagAndTicketCancelBothStopJobs) {
+  // A job stops at its next expansion boundary once its caller's
+  // ParallelOptions::cancel flag or its ticket's cancel is set, on the
+  // one-slot path and the scheduler path alike.
+  const std::string program = workloads::layered_dag(6, 4);
+  const std::size_t all = cold_texts(program, "path(n0_0,Z,P)").size();
+  engine::Interpreter ip;
+  ip.consult_string(program);
+  Executor exec({.workers = 2});
+  for (const unsigned slots : {1u, 2u}) {
+    {  // the caller's flag, set before submit
+      std::atomic<bool> flag{true};
+      JobRequest jr = make_job(ip, "path(n0_0,Z,P)", slots);
+      jr.opts.cancel = &flag;
+      const JobTicket t = exec.submit(std::move(jr));
+      EXPECT_EQ(t.wait().outcome, search::Outcome::Cancelled) << slots;
+      EXPECT_TRUE(t.wait().solutions.empty()) << slots;
+    }
+    {  // the caller's flag, set by the first answer
+      std::atomic<bool> flag{false};
+      JobRequest jr = make_job(ip, "path(n0_0,Z,P)", slots);
+      jr.opts.cancel = &flag;
+      jr.on_answer = [&flag](const search::Solution&) { flag = true; };
+      const JobTicket t = exec.submit(std::move(jr));
+      EXPECT_EQ(t.wait().outcome, search::Outcome::Cancelled) << slots;
+      EXPECT_LT(t.wait().solutions.size(), all) << slots;
+    }
+    {  // the ticket's cancel while the caller's flag stays clear
+      std::atomic<bool> flag{false};
+      Latch latch;
+      JobRequest jr = make_job(ip, "path(n0_0,Z,P)", slots);
+      jr.opts.cancel = &flag;
+      jr.on_answer = [&latch](const search::Solution&) { latch.hold(); };
+      const JobTicket t = exec.submit(std::move(jr));
+      latch.wait_entered(1);
+      EXPECT_TRUE(t.cancel());
+      latch.release();
+      EXPECT_EQ(t.wait().outcome, search::Outcome::Cancelled) << slots;
+      EXPECT_LT(t.wait().solutions.size(), all) << slots;
+    }
+  }
+}
+
 // ------------------------------------------------- async QueryService --
 
 TEST(ServiceSubmit, TicketWaitMatchesSyncQuery) {

@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -213,8 +214,8 @@ JsonValue parse_json_or_fail(const std::string& text) {
 // ----------------------------------------------------------- event table --
 
 TEST(TraceEvents, NamesAndCategoriesComeFromTheTable) {
-  EXPECT_STREQ(obs::trace_event_name(EventKind::kStealLocal), "steal.local");
-  EXPECT_STREQ(obs::trace_event_category(EventKind::kStealLocal), "sched");
+  EXPECT_STREQ(obs::trace_event_name(EventKind::kSteal), "steal.take");
+  EXPECT_STREQ(obs::trace_event_category(EventKind::kSteal), "sched");
   EXPECT_STREQ(obs::trace_event_name(EventKind::kExpandBurst), "runner.burst");
   EXPECT_STREQ(obs::trace_event_category(EventKind::kQueryBegin), "service");
   EXPECT_STREQ(obs::trace_event_name(EventKind::kCount), "?");
@@ -298,7 +299,7 @@ TEST(TraceSink, EachRecordingThreadGetsItsOwnShard) {
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&sink, t] {
       for (std::uint32_t i = 0; i < kPerThread; ++i)
-        sink.record(static_cast<std::uint16_t>(t), EventKind::kStealLocal, i);
+        sink.record(static_cast<std::uint16_t>(t), EventKind::kSteal, i);
     });
   }
   for (auto& th : ts) th.join();
@@ -327,7 +328,7 @@ TEST(TraceSink, NullSinkTraceIsANoOp) {
 TEST(ChromeTrace, ExportParsesBackWithLaneMetadataAndCounts) {
   TraceSink sink;
   sink.record(0, EventKind::kExpandBurst, 17);
-  sink.record(1, EventKind::kStealRemote, 0);
+  sink.record(1, EventKind::kSteal, 0);
   sink.record(obs::kClientLaneBase, EventKind::kCacheMiss, 1);
 
   std::ostringstream out;
@@ -415,9 +416,17 @@ TEST(ChromeTrace, TracedParallelSolveExportsWorkerEvents) {
   EXPECT_EQ(sink.dropped(), 0u);
 
   // Expansion work must show up as burst events attributed to worker lanes.
+  // The solve is one executor job: its submit/done events sit on the
+  // caller's client lane, once each.
   std::uint64_t burst_total = 0;
   bool saw_solution = false;
+  std::map<std::uint16_t, int> job_events;
   for (const auto& e : sink.snapshot()) {
+    if (std::string_view(obs::trace_event_category(
+            static_cast<EventKind>(e.kind))) == "executor") {
+      ++job_events[e.kind];
+      continue;
+    }
     EXPECT_LT(e.lane, obs::kClientLaneBase);  // engine events: worker lanes
     EXPECT_LT(e.lane, 4);
     if (e.kind == static_cast<std::uint16_t>(EventKind::kExpandBurst))
@@ -427,6 +436,9 @@ TEST(ChromeTrace, TracedParallelSolveExportsWorkerEvents) {
   }
   EXPECT_EQ(burst_total, r.nodes_expanded);
   EXPECT_TRUE(saw_solution);
+  EXPECT_EQ(job_events[static_cast<std::uint16_t>(EventKind::kJobSubmit)], 1);
+  EXPECT_EQ(job_events[static_cast<std::uint16_t>(EventKind::kJobStart)], 1);
+  EXPECT_EQ(job_events[static_cast<std::uint16_t>(EventKind::kJobDone)], 1);
 
   std::ostringstream out;
   obs::write_chrome_trace(sink, out);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <string>
+#include <utility>
 
 #include "blog/parallel/engine.hpp"
+#include "blog/workloads/workloads.hpp"
 
 namespace blog::parallel {
 namespace {
@@ -171,18 +175,72 @@ TEST(Parallel, DThresholdReducesNetworkTraffic) {
 }
 
 TEST(Parallel, SingleWorkerMatchesSequentialNodeCount) {
-  Interpreter ip;
-  ip.consult_string(kFamily);
-  auto seq = ip.solve("gf(sam,G)", {.update_weights = false});
+  // At one worker the solve is the pool's one-slot job, a depth-first
+  // SearchEngine solve: the sequential engine's answers, in its order,
+  // after its node count.
+  const std::pair<std::string, std::string> cases[] = {
+      {kFamily, "gf(sam,G)"},
+      {workloads::queens(7), "queens7(Qs)"},
+      {workloads::layered_dag(7, 3), "path(n0_0,Z,P)"},
+  };
+  for (const auto& [program, query] : cases) {
+    Interpreter ip;
+    ip.consult_string(program);
+    auto seq = ip.solve(query, {.strategy = search::Strategy::DepthFirst,
+                                .update_weights = false});
 
-  Interpreter ip2;
-  ip2.consult_string(kFamily);
+    Interpreter ip2;
+    ip2.consult_string(program);
+    ParallelOptions o;
+    o.workers = 1;
+    o.update_weights = false;
+    ParallelEngine pe(ip2.program(), ip2.weights(), &ip2.builtins(), o);
+    auto r = pe.solve(ip2.parse_query(query));
+    EXPECT_EQ(r.nodes_expanded, seq.stats.nodes_expanded) << query;
+    ASSERT_EQ(r.solutions.size(), seq.solutions.size()) << query;
+    for (std::size_t i = 0; i < r.solutions.size(); ++i)
+      EXPECT_EQ(r.solutions[i].text, seq.solutions[i].text) << query;
+  }
+}
+
+TEST(Parallel, BackToBackSolvesOnOneEngineMatchTheOracle) {
+  // Every solve is a new job on the engine's one pool: nothing carries
+  // over from the previous job.
+  const std::string program = std::string(kFamily) + layered_dag(3, 3);
+  Interpreter oracle;
+  oracle.consult_string(program);
+  Interpreter ip;
+  ip.consult_string(program);
   ParallelOptions o;
-  o.workers = 1;
+  o.workers = 3;
   o.update_weights = false;
-  ParallelEngine pe(ip2.program(), ip2.weights(), &ip2.builtins(), o);
-  auto r = pe.solve(ip2.parse_query("gf(sam,G)"));
-  EXPECT_EQ(r.nodes_expanded, seq.stats.nodes_expanded);
+  ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), o);
+  for (const char* query : {"path(n0_0,Z,P)", "gf(X,Z)", "path(n1_2,Z,P)"}) {
+    const auto r = pe.solve(ip.parse_query(query));
+    EXPECT_EQ(texts(r), engine::solution_texts(
+                            oracle.solve(query, {.update_weights = false})))
+        << query;
+    EXPECT_TRUE(r.exhausted) << query;
+  }
+}
+
+TEST(Parallel, PresetCancelFlagAnswersNothing) {
+  // The caller's flag stops both job shapes, the one-slot solve and the
+  // scheduler-backed one, at their first expansion boundary.
+  for (const unsigned workers : {1u, 3u}) {
+    Interpreter ip;
+    ip.consult_string(layered_dag(4, 4));
+    std::atomic<bool> cancel{true};
+    ParallelOptions o;
+    o.workers = workers;
+    o.update_weights = false;
+    o.cancel = &cancel;
+    ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), o);
+    const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
+    EXPECT_EQ(r.outcome, search::Outcome::Cancelled) << "w" << workers;
+    EXPECT_TRUE(r.solutions.empty()) << "w" << workers;
+    EXPECT_FALSE(r.exhausted) << "w" << workers;
+  }
 }
 
 TEST(Parallel, ZeroWorkersRunAsOne) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "blog/andp/exec.hpp"
@@ -383,8 +384,10 @@ INSTANTIATE_TEST_SUITE_P(CompileLayer, IndexBytecodeGrid,
 
 /// Workloads exercising every fork shape: pure cross product, a
 /// shared-variable semi-join chain, mixed groups, a recursive group whose
-/// answers need the groundness fallback machinery, and two conjunctions
-/// that name no variable (answered with their own instances).
+/// answers need the groundness fallback machinery, a single goal (one work
+/// item: a one-slot job at one worker), and four conjunctions that name no
+/// variable (answered with their own instances, nested ones parenthesized
+/// as the engine writes them).
 std::vector<Workload> andor_workload_set() {
   return {
       {"cross", "p(1). p(2). p(3). q(a). q(b). r(x). r(y).",
@@ -397,8 +400,11 @@ std::vector<Workload> andor_workload_set() {
       {"recursive",
        "append([],L,L). append([H|T],L,[H|R]) :- append(T,L,R). c(k1). c(k2).",
        "append(A,B,[1,2,3]), c(C)"},
+      {"single", "p(1). p(3). q(2).", "p(X)"},
       {"ground", "p(1). p(3). q(2).", "p(1), q(2)"},
       {"anonymous", "p(1). p(3). q(2).", "p(_), q(2)"},
+      {"nested", "p(1). p(3). q(2).", "(p(_), q(2)), p(3)"},
+      {"nested_twice", "p(1). p(3). q(2).", "((p(_), q(2)), p(3)), q(2)"},
   };
 }
 
@@ -433,6 +439,7 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
           << " workers=" << workers
           << " strat=" << search::strategy_name(strat);
       EXPECT_EQ(res.join_resolves, 1u) << w.name;
+      EXPECT_GT(res.sequential_nodes, 0u) << w.name;  // fork-tag attribution
 
       // And-parallel ON, pre-unification per-group path (the "unified
       // off" axis) — same fork mode, same answers.
@@ -490,8 +497,11 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     EXPECT_TRUE(res.solutions.empty());
     EXPECT_EQ(res.join_resolves, 0u);
   }
-  {
-    // Pre-set cancel flag: workers stop at their first expansion boundary.
+  for (const bool on_executor : {false, true}) {
+    // Pre-set cancel flag: workers stop at their first expansion boundary,
+    // on a pool started for the call and on the caller's executor alike.
+    std::optional<parallel::Executor> pool;
+    if (on_executor) pool.emplace(parallel::ExecutorOptions{.workers = 2});
     std::atomic<bool> cancel{true};
     Interpreter ip;
     ip.consult_string(w.program);
@@ -500,8 +510,10 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     o.search.cancel = &cancel;
     o.fork = fork;
     o.workers = workers;
+    o.executor = pool ? &*pool : nullptr;
     const auto res = andp::solve_and_parallel(ip, w.query, o);
-    EXPECT_EQ(res.outcome, search::Outcome::Cancelled);
+    EXPECT_EQ(res.outcome, search::Outcome::Cancelled)
+        << "on_executor=" << on_executor;
     EXPECT_TRUE(res.solutions.empty());
     EXPECT_EQ(res.join_resolves, 0u);
   }

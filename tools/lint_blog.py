@@ -34,6 +34,11 @@ Checks, each independent (all run; any failure fails the process):
    appears within ANCHOR_SLACK lines of the anchored line, so an anchor
    that drifted off its declaration fails instead of pointing elsewhere.
 
+6. Live options: every data member of the option structs in
+   REFERENCED_STRUCTS is referenced (read or written, as `.name` or
+   `->name`) somewhere under src/, so a knob whose last reader went cannot
+   linger in the API.
+
 Exit code 0 = clean, 1 = findings (printed one per line, grep-friendly).
 """
 
@@ -61,6 +66,18 @@ OPTIONS_HEADERS = [
 
 # How far (in lines) a named anchor may sit from its name's declaration.
 ANCHOR_SLACK = 3
+
+# Option structs whose every data member src/ must reference (check 6).
+REFERENCED_STRUCTS = {
+    "include/blog/parallel/engine.hpp": ["ParallelOptions"],
+    "include/blog/parallel/executor.hpp": ["ExecutorOptions", "JobRequest"],
+    "include/blog/parallel/scheduler.hpp": ["SchedulerTuning"],
+    "include/blog/search/engine.hpp": ["SearchOptions"],
+    "include/blog/search/node.hpp": ["ExpanderOptions"],
+    "include/blog/search/limits.hpp": ["ExecutionLimits"],
+    "include/blog/service/service.hpp": ["ServiceOptions", "QueryRequest"],
+    "include/blog/andp/exec.hpp": ["AndParallelOptions"],
+}
 
 
 def err(msg: str) -> None:
@@ -269,6 +286,22 @@ def check_tuning_knobs() -> None:
                     f"declared in {owner or 'the options headers'}")
 
 
+def check_referenced_options() -> None:
+    src = "\n".join(strip_comments(p.read_text())
+                    for p in sorted((REPO / "src").rglob("*"))
+                    if p.suffix in (".cpp", ".hpp"))
+    used = set(re.findall(r"(?:\.|->)\s*([A-Za-z_]\w*)", src))
+    for header, structs in REFERENCED_STRUCTS.items():
+        bodies = struct_bodies(strip_comments((REPO / header).read_text()))
+        for struct in structs:
+            if struct not in bodies:
+                err(f"{header}: no struct {struct} (check 6)")
+                continue
+            for field in sorted(declared_fields(bodies[struct]) - used):
+                err(f"{header}: {struct}::{field} is referenced nowhere "
+                    f"under src/")
+
+
 ANCHOR = re.compile(r"`([\w./-]+\.\w+):(\d+)`")
 # A backticked identifier (optionally `::`-qualified, optionally with `()`)
 # followed by nothing but spaces, `(` or `,` up to the anchor.
@@ -311,6 +344,7 @@ def main() -> int:
     check_todo_references()
     check_tuning_knobs()
     check_doc_anchors()
+    check_referenced_options()
     if ERRORS:
         print(f"lint_blog: {len(ERRORS)} finding(s)", file=sys.stderr)
         return 1
