@@ -709,10 +709,10 @@ int main(int argc, char** argv) {
       dir + "BENCH_executor.json", {pool}, /*serial_cold_qps=*/0.0,
       {{"storm_answers_match", pool.answers_match_cold ? 1.0 : 0.0}});
 
-  // Unified AND/OR scheduler (§7 riding §6's machinery): the sequential
-  // andp path (per-group sequential engine solves) vs the unified
-  // work-stealing path at w ∈ {1,2,8} on a balanced deductive-db
-  // conjunction — two shared-variable semi-join groups of equal cost.
+  // AND/OR on one scheduler (§7 riding §6's machinery): the AND-parallel
+  // path at w ∈ {1,2,8} against the sequential engine on a balanced
+  // deductive-db conjunction — two shared-variable semi-join groups of
+  // equal cost.
   // `and_or_w8_speedup` is the paper's processor-model speedup of the w8
   // unified run over the one-processor sequential cost (Σ group nodes /
   // critical-path nodes); wall-clock threading speedup is NOT gateable —
@@ -741,31 +741,26 @@ int main(int argc, char** argv) {
 
     bool match = true;
     double w8_speedup = 0.0, w8_join_ms = 0.0;
-    const auto run_andor = [&](const std::string& name, unsigned workers,
-                               bool unified) {
+    for (const unsigned workers : {1u, 2u, 8u}) {
       engine::Interpreter ip;
       ip.consult_string(prog);
       andp::AndParallelOptions o;
       o.search.update_weights = false;
-      o.unified = unified;
       o.workers = workers;
       const auto t0 = Clock::now();
       const auto res = andp::solve_and_parallel(ip, query, o);
       Entry e;
-      e.name = name;
+      e.name = "unified_w" + std::to_string(workers);
       e.secs = seconds_since(t0);
       e.nodes = res.sequential_nodes;
       e.solutions = res.solutions.size();
       match &= res.solutions == expected;
-      if (unified && workers == 8) {
+      if (workers == 8) {
         w8_speedup = res.and_speedup();
         w8_join_ms = res.join_micros / 1000.0;
       }
       andor.push_back(e);
-    };
-    run_andor("andp_sequential", 1, /*unified=*/false);
-    for (const unsigned w : {1u, 2u, 8u})
-      run_andor("unified_w" + std::to_string(w), w, /*unified=*/true);
+    }
     andor_summary.emplace_back("answers_match", match ? 1.0 : 0.0);
     andor_summary.emplace_back("and_or_w8_speedup", w8_speedup);
     andor_summary.emplace_back("join_ms_w8", w8_join_ms);

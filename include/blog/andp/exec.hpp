@@ -1,18 +1,16 @@
-// AND-parallel execution of conjunctive queries (§7), unified with the
-// OR-parallel scheduler (§6).
+// AND-parallel execution of conjunctive queries (§7) on the OR-parallel
+// scheduler (§6).
 //
-// The conjunction is partitioned into independence groups (plan.hpp) and —
-// by default — every group is forked as stealable work items into ONE
-// work-stealing scheduler partition: OR-alternatives inside a group and
-// sibling AND-groups are stolen by the same idle workers under the same
-// victim policy, bounds, and termination detector. A parallel::JoinNode
-// collects each item's answer rows; when the partition's termination
-// detector fires, the join resolves exactly once and combines the answer
-// sets (cross product across groups — no shared variables, so every
-// combination is consistent; semi-join inside shared-variable groups).
-//
-// The pre-unification path (`unified = false`) solves each group with its
-// own sequential engine run and is kept for regression comparison.
+// The conjunction is partitioned into independence groups (plan.hpp), and
+// every group is forked as stealable work items into ONE work-stealing
+// scheduler partition: OR-alternatives inside a group and sibling
+// AND-groups are stolen by the same idle workers under the same victim
+// policy, bounds, and termination detector. The partition runs as one
+// Executor job; each answer lands in its item's relation. After the job
+// ends, and only when it ran to exhaustion, the relations are combined
+// once on the caller's thread (cross product across groups — no shared
+// variables, so every combination is consistent; semi-join inside
+// shared-variable groups).
 //
 // Cost model: sequential work = Σ group work; AND-parallel elapsed work =
 // max group work (+ the join/combination cost), which is the speedup the
@@ -26,20 +24,17 @@
 namespace blog::andp {
 
 struct AndParallelOptions {
-  /// Per-group engine options. `limits` governs the whole conjunction
+  /// Per-item engine options. `limits` governs the whole conjunction
   /// (node budget and deadline are global across groups; max_solutions
   /// bounds the *joined* answer set — reported as Outcome::SolutionLimit,
-  /// never a silent truncation). `cancel`/`trace` apply to both paths.
+  /// never a silent truncation). `cancel` and `trace` reach the job.
   search::SearchOptions search;
   bool use_semi_join = true;  // join strategy for shared-variable groups
   /// Fork decision: compile-time verdict first (default), always the
   /// run-time scan, or no forking at all.
   ForkMode fork = ForkMode::Static;
-  /// Run the forked items on the unified work-stealing scheduler
-  /// (default). false = the pre-unification per-group sequential solves.
-  bool unified = true;
-  unsigned workers = 4;  ///< unified path: the job's slot request
-  /// The unified path runs as one job (with forked child roots) on this
+  unsigned workers = 4;  ///< the job's slot request
+  /// Run the conjunction as one job (with forked child roots) on this
   /// persistent pool; null = on a pool of `workers` threads started for
   /// the call.
   parallel::Executor* executor = nullptr;
@@ -66,9 +61,8 @@ struct AndParallelResult {
   /// partial (SolutionLimit excepted: the set is the first max_solutions
   /// of the complete joined set).
   search::Outcome outcome = search::Outcome::Exhausted;
-  bool unified = false;          ///< ran on the unified scheduler
-  std::size_t forked_items = 0;  ///< work items pushed (0 on legacy path)
-  std::size_t join_resolves = 0;  ///< JoinNode combines run (0 or 1)
+  std::size_t forked_items = 0;   ///< work items forked into the job
+  std::size_t join_resolves = 0;  ///< 1 when the combine ran, else 0
   double join_micros = 0.0;       ///< time inside the join combine
   std::size_t sequential_nodes = 0;   // Σ group nodes (one-processor cost)
   std::size_t critical_path_nodes = 0;  // max group nodes (parallel cost)
@@ -84,18 +78,10 @@ struct AndParallelResult {
 
 /// Execute `query_text` (a conjunction) with AND-parallelism.
 /// Requirements: each group's solutions must ground its variables (true for
-/// database-style programs); otherwise results fall back to the sequential
-/// engine for that group combination.
+/// database-style programs); otherwise that group is re-solved whole by the
+/// sequential engine and combined as one relation.
 AndParallelResult solve_and_parallel(engine::Interpreter& ip,
                                      std::string_view query_text,
                                      const AndParallelOptions& opts = {});
-
-/// Solve a single goal as a Relation over its named variables (helper for
-/// the join strategy; also used by benches).
-Relation goal_relation(engine::Interpreter& ip, const term::Store& store,
-                       term::TermRef goal,
-                       const std::vector<std::pair<Symbol, term::TermRef>>& vars,
-                       const search::SearchOptions& opts,
-                       std::size_t* nodes = nullptr);
 
 }  // namespace blog::andp

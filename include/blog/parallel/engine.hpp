@@ -45,10 +45,9 @@ struct ParallelOptions {
   std::size_t steal_deque_capacity = 64;  ///< per-worker deque bound
   /// Let the scheduler float local_capacity / steal_deque_capacity around
   /// their seeds with each worker's observed steal pressure (EWMA over
-  /// `capacity_ewma_window` spill events, bounds [4, 512] for the default
+  /// SchedulerTuning's 64 spill events, bounds [4, 512] for the default
   /// seeds). Turn off to pin the static knobs exactly.
   bool adaptive_capacity = true;
-  std::uint32_t capacity_ewma_window = 64;  ///< EWMA horizon, spill events
   search::ExpanderOptions expander;  ///< resolution-step options
   /// Cooperative cancellation: when non-null and set, every worker stops
   /// at its next expansion boundary and the solve returns

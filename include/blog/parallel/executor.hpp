@@ -55,8 +55,9 @@ struct ExecutorOptions {
   /// than this many run (a started job still takes its remaining slots).
   /// 0 = no cap beyond the pool size.
   std::size_t max_running_jobs = 0;
-  bool numa_aware = true;       ///< place workers round-robin across nodes
-  bool numa_pin_workers = true; ///< pin each worker to its node's CPUs
+  /// Place workers round-robin across NUMA nodes, each pinned to its
+  /// node's CPUs.
+  bool numa_aware = true;
   /// Metrics registry for executor gauges/counters
   /// (executor.jobs_queued/jobs_running/workers_busy, executor.jobs_*).
   /// May be null (no metrics). Must outlive the executor.
@@ -93,8 +94,12 @@ struct JobRequest {
   /// `on_solution` (use `on_answer`).
   ParallelOptions opts;
   /// Streamed answers: called once per recorded answer, in discovery
-  /// order, from a pool worker under the job's solution lock. The
-  /// Solution is only valid during the call.
+  /// order, from a pool worker. Calls for one job never overlap: a
+  /// scheduler-backed job makes them under its solution lock, a one-slot
+  /// job on its single worker, and every call returns before the job
+  /// completes, so state it fills needs no lock of its own and is
+  /// complete once wait() returns. The Solution is only valid during the
+  /// call.
   std::function<void(const search::Solution&)> on_answer;
   /// Completion callback, invoked once from a pool worker (or from
   /// cancel()/shutdown for never-started jobs, whose result lists no

@@ -75,13 +75,11 @@ struct SchedulerStats {
 /// (or was anyone starving) since its last spill? — and scales both its
 /// deque capacity and the suggested engine-side local capacity around the
 /// configured seeds: pressure 0.5 is neutral, 0 grows toward the upper
-/// bound (lone-hot workers stop sharding their pool), 1 shrinks toward the
-/// lower bound (saturated pools shed earlier).
+/// bound of 512 (lone-hot workers stop sharding their pool), 1 shrinks
+/// toward the lower bound of 4 (saturated pools shed earlier).
 struct SchedulerTuning {
   bool adaptive = true;             ///< float capacities with steal pressure
   std::uint32_t ewma_window = 64;   ///< EWMA horizon, in spill events
-  std::size_t min_capacity = 4;     ///< adaptive lower bound
-  std::size_t max_capacity = 512;   ///< adaptive upper bound
   std::size_t local_capacity_seed = 8;  ///< engine local_capacity seed
   /// Flight recorder (see obs/trace.hpp). When non-null the scheduler
   /// records steal/spill/claim/starvation events into it; null (the

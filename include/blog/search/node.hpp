@@ -158,7 +158,6 @@ struct ExpanderOptions {
   bool head_bytecode = true;
   bool occurs_check = false;       ///< occurs check during unification
   std::uint32_t max_depth = 512;   ///< depth cutoff (DepthLimit outcome)
-  bool use_weights = true;  ///< false: every arc weighs 1 (uniform costs)
   GoalOrder goal_order = GoalOrder::Leftmost;  ///< selection policy
   /// Conditional weights (§5 future work): key each pointer weight also by
   /// the clause chosen one step earlier ("conditional information").

@@ -103,10 +103,6 @@ struct ServiceOptions {
   // and pinned once; every query runs on it as a schedulable job).
   // 0 = one worker per hardware thread.
   unsigned executor_workers = 0;
-  // Pull-based AnswerStream consumers are woken once per `stream_chunk`
-  // streamed answers (and at close) instead of per answer; callback
-  // streaming (on_answer) always fires per answer.
-  std::size_t stream_chunk = 1;
 };
 
 struct QueryRequest {
@@ -116,9 +112,10 @@ struct QueryRequest {
   unsigned workers = 1;  // >1: OR-parallel solve across this many job slots
 };
 
-/// Pull side of a streamed query: a bounded-latency answer queue fed by
-/// the job's workers as answers are recorded, closed when the job
-/// completes. Obtain one via SubmitOptions::stream + QueryTicket::stream().
+/// Pull side of a streamed query: an answer queue fed by the job's
+/// workers as answers are recorded (each one wakes the reader), closed
+/// when the job completes. Obtain one via SubmitOptions::stream +
+/// QueryTicket::stream().
 class AnswerStream {
 public:
   /// Block for the next answer; nullopt once the stream is closed and
@@ -129,7 +126,7 @@ public:
 
 private:
   friend class QueryService;
-  explicit AnswerStream(std::size_t chunk) : chunk_(chunk == 0 ? 1 : chunk) {}
+  AnswerStream() = default;
   void push(std::string text);
   void close();
 
@@ -137,8 +134,6 @@ private:
   std::condition_variable cv_;
   std::deque<std::string> q_;
   bool closed_ = false;
-  std::size_t chunk_;
-  std::size_t unnotified_ = 0;
 };
 
 /// Per-submit delivery options (all optional).

@@ -18,6 +18,8 @@ struct JobState {
   Executor* exec = nullptr;
   JobRequest req;
   unsigned slots = 1;
+  /// The submitting thread's trace lane: job.submit and job.done go there.
+  std::uint16_t lane = 0;
 
   // Parallel machinery (slots > 1 or forked roots). The expander binds the request's
   // program/weights/builtins; the scheduler is this job's partition of the
@@ -141,6 +143,7 @@ JobTicket Executor::submit(JobRequest req) {
   job->exec = this;
   job->id = next_job_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   job->slots = std::clamp(req.slots, 1u, pool_size_);
+  job->lane = req.opts.trace != nullptr ? obs::client_lane() : 0;
   job->req = std::move(req);
   JobRequest& r = job->req;
 
@@ -152,7 +155,6 @@ JobTicket Executor::submit(JobRequest req) {
         *r.program, *r.weights, r.builtins, r.opts.expander);
     SchedulerTuning tuning;
     tuning.adaptive = r.opts.adaptive_capacity;
-    tuning.ewma_window = r.opts.capacity_ewma_window;
     tuning.local_capacity_seed = r.opts.local_capacity;
     tuning.trace = r.opts.trace;
     job->net = std::make_unique<WorkStealingScheduler>(
@@ -189,7 +191,7 @@ JobTicket Executor::submit(JobRequest req) {
     ++submitted_;
     update_gauges();
   }
-  obs::trace(r.opts.trace, obs::client_lane(), obs::EventKind::kJobSubmit,
+  obs::trace(r.opts.trace, job->lane, obs::EventKind::kJobSubmit,
              static_cast<std::uint32_t>(job->id));
   // One free worker per requested slot has something new to do.
   if (job->slots == 1)
@@ -238,7 +240,7 @@ void Executor::worker_main(unsigned worker) {
   unsigned numa_node = 0;
   if (opts_.numa_aware && !topo.single_node()) {
     numa_node = topo.node_of_worker(worker);
-    if (opts_.numa_pin_workers) pin_current_thread_to_node(topo, numa_node);
+    pin_current_thread_to_node(topo, numa_node);
   }
 
   // Under a cap below the pool size, idle workers sleep past jobs the cap
@@ -369,8 +371,8 @@ void Executor::complete(const std::shared_ptr<detail::JobState>& job,
     if (r.outcome == search::Outcome::Cancelled) ++cancelled_;
   }
   if (c_completed_ != nullptr) c_completed_->inc();
-  obs::trace(job->req.opts.trace, obs::client_lane(),
-             obs::EventKind::kJobDone, static_cast<std::uint32_t>(job->id));
+  obs::trace(job->req.opts.trace, job->lane, obs::EventKind::kJobDone,
+             static_cast<std::uint32_t>(job->id));
   // The completion callback runs before waiters wake so a submit().wait()
   // wrapper observes the callback's side effects (cache insert). Calling
   // JobTicket::wait from inside on_complete deadlocks. Both callbacks go

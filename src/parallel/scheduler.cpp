@@ -11,6 +11,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Where adaptive capacities stop, unless the seed itself lies outside.
+constexpr std::size_t kMinCapacity = 4;
+constexpr std::size_t kMaxCapacity = 512;
+
 using obs::EventKind;
 using search::SpillHandle;
 
@@ -73,14 +77,14 @@ void WorkStealingScheduler::adapt(Deque& d) {
       2.0f / (static_cast<float>(std::max(1u, tuning_.ewma_window)) + 1.0f);
   d.pressure += alpha * (sample - d.pressure);
   // factor spans [1/64, 64] over pressure [1, 0]: wide enough to sweep a
-  // seed of 8 across the whole [min_capacity, max_capacity] range.
+  // seed of 8 across the whole [kMinCapacity, kMaxCapacity] range.
   const double factor = std::exp2((0.5 - static_cast<double>(d.pressure)) * 12.0);
   const auto scaled = [&](std::size_t seed) {
     const double v = std::round(static_cast<double>(seed) * factor);
     // Clamp around the seed: degenerate seeds (0 = always spill, huge =
     // never) keep their configured meaning.
-    const double lo = static_cast<double>(std::min(seed, tuning_.min_capacity));
-    const double hi = static_cast<double>(std::max(seed, tuning_.max_capacity));
+    const double lo = static_cast<double>(std::min(seed, kMinCapacity));
+    const double hi = static_cast<double>(std::max(seed, kMaxCapacity));
     return static_cast<std::uint32_t>(std::clamp(v, lo, hi));
   };
   d.cap.store(scaled(capacity_seed_), std::memory_order_relaxed);

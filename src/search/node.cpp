@@ -110,13 +110,8 @@ Arc Expander::make_arc(const Goal& goal, db::ClauseId clause,
     arc.key.context =
         parent_chain ? parent_chain->arc.key.callee : db::kQueryClause;
   }
-  if (opts_.use_weights) {
-    arc.weight = weights_.weight(arc.key);
-    arc.kind_at_use = weights_.classify(arc.weight);
-  } else {
-    arc.weight = 1.0;
-    arc.kind_at_use = db::WeightKind::Known;
-  }
+  arc.weight = weights_.weight(arc.key);
+  arc.kind_at_use = weights_.classify(arc.weight);
   return arc;
 }
 

@@ -99,21 +99,17 @@ std::optional<std::string> AnswerStream::try_next() {
 }
 
 void AnswerStream::push(std::string text) {
-  bool notify = false;
   {
     std::lock_guard lock(mu_);
     q_.push_back(std::move(text));
-    notify = ++unnotified_ >= chunk_;
-    if (notify) unnotified_ = 0;
   }
-  if (notify) cv_.notify_all();
+  cv_.notify_all();
 }
 
 void AnswerStream::close() {
   {
     std::lock_guard lock(mu_);
     closed_ = true;
-    unnotified_ = 0;
   }
   cv_.notify_all();
 }
@@ -206,7 +202,7 @@ void QueryService::deliver_answer(detail::TicketState* st,
     std::lock_guard lock(st->emit_mu);
     if (!st->emitted.insert(text).second) return;  // already streamed
   }
-  obs::trace(trace_.load(std::memory_order_acquire), obs::client_lane(),
+  obs::trace(trace_.load(std::memory_order_acquire), st->lane,
              obs::EventKind::kAnswerStreamed, st->qid);
   if (st->sopts.on_answer) st->sopts.on_answer(text);
   if (st->stream) st->stream->push(text);
@@ -289,7 +285,7 @@ QueryTicket QueryService::submit(const QueryRequest& req,
   st->lane = trace != nullptr ? obs::client_lane() : 0;
   obs::trace(trace, st->lane, obs::EventKind::kQueryBegin, st->qid);
   if (st->sopts.stream)
-    st->stream.reset(new AnswerStream(opts_.stream_chunk));
+    st->stream.reset(new AnswerStream());
 
   QueryResponse resp;
   parallel::JobRequest jr;

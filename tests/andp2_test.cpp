@@ -1,11 +1,12 @@
 // Second-wave AND-parallel tests: join algebra edge cases, executor
-// corner cases, and the unified-scheduler fork/join stress storm.
+// corner cases, and the fork/join stress storm on one shared pool.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "blog/andp/exec.hpp"
-#include "blog/parallel/join.hpp"
 
 namespace blog::andp {
 namespace {
@@ -122,6 +123,96 @@ TEST(AndExec2, NonGroundGroupFallsBackAndStaysCorrect) {
             engine::solution_texts(seq.solve("append(A,B,[1,2]), one(C)")));
 }
 
+// A shared-variable group whose per-goal answers are not ground is
+// re-solved whole by the sequential engine.
+constexpr const char* kOpenTerms = "p(a,f(_)). p(b,g). q(f(1)). q(g).";
+
+TEST(AndExec2, NonGroundSharedGroupIsResolvedWhole) {
+  const std::vector<std::string> expected = {"X=a,Y=f(1)", "X=b,Y=g"};
+  Interpreter seq;
+  seq.consult_string(kOpenTerms);
+  ASSERT_EQ(engine::solution_texts(seq.solve("p(X,Y), q(Y)")), expected);
+  Interpreter ip;
+  ip.consult_string(kOpenTerms);
+  const auto res = solve_and_parallel(ip, "p(X,Y), q(Y)");
+  EXPECT_EQ(res.outcome, search::Outcome::Exhausted);
+  EXPECT_EQ(res.solutions, expected);
+  EXPECT_EQ(res.forked_items, 2u);  // one item per goal, then the re-solve
+  EXPECT_EQ(res.join_resolves, 1u);
+}
+
+TEST(AndExec2, NonGroundReSolveStaysInsideTheNodeBudget) {
+  // The re-solve gets what the job left of the budget. One node short of
+  // the unbounded total, it cannot finish: an honest outcome, no answers.
+  AndParallelOptions o;
+  o.search.update_weights = false;
+  o.workers = 1;
+  Interpreter ip;
+  ip.consult_string(kOpenTerms);
+  const std::size_t total =
+      solve_and_parallel(ip, "p(X,Y), q(Y)", o).sequential_nodes;
+  o.search.limits.max_nodes = total - 1;
+  const auto res = solve_and_parallel(ip, "p(X,Y), q(Y)", o);
+  EXPECT_EQ(res.outcome, search::Outcome::BudgetExceeded);
+  EXPECT_TRUE(res.solutions.empty());
+  EXPECT_EQ(res.join_resolves, 0u);
+}
+
+TEST(AndExec2, ShedCallReturnsCancelledThenTheOracleSet) {
+  // A one-worker pool that holds no line (queue_limit 0) refuses the AND
+  // call's job while its worker is busy: Cancelled, no answers, no join.
+  Interpreter ip;
+  ip.consult_string("p(1). p(2). q(a). q(b).");
+  Interpreter seq;
+  seq.consult_string("p(1). p(2). q(a). q(b).");
+  const auto expected = engine::solution_texts(seq.solve("p(X), q(Y)"));
+
+  parallel::ExecutorOptions eo;
+  eo.workers = 1;
+  eo.queue_limit = 0;
+  parallel::Executor pool(eo);
+  // The blocker pattern: the lone worker stays inside the job's completion
+  // callback until the latch opens.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<bool> entered{false};
+  parallel::JobRequest blocker;
+  blocker.program = &ip.program();
+  blocker.weights = &ip.weights();
+  blocker.builtins = &ip.builtins();
+  blocker.query = ip.parse_query("p(X)");
+  blocker.on_complete = [&](const parallel::ParallelResult&) {
+    entered = true;
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return open; });
+  };
+  const parallel::JobTicket held = pool.submit(std::move(blocker));
+  ASSERT_TRUE(held.valid());
+  while (!entered) std::this_thread::yield();
+
+  AndParallelOptions o;
+  o.executor = &pool;
+  o.workers = 1;
+  const auto shed = solve_and_parallel(ip, "p(X), q(Y)", o);
+  EXPECT_EQ(shed.outcome, search::Outcome::Cancelled);
+  EXPECT_TRUE(shed.solutions.empty());
+  EXPECT_EQ(shed.join_resolves, 0u);
+  EXPECT_EQ(pool.stats().rejected, 1u);
+
+  {
+    std::lock_guard lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  held.wait();
+  while (pool.stats().busy_workers != 0) std::this_thread::yield();
+  const auto res = solve_and_parallel(ip, "p(X), q(Y)", o);
+  EXPECT_EQ(res.outcome, search::Outcome::Exhausted);
+  EXPECT_EQ(res.solutions, expected);
+  EXPECT_EQ(res.join_resolves, 1u);
+}
+
 TEST(AndExec2, SharedVarThroughBuiltinStaysSequential) {
   Interpreter ip;
   ip.consult_string("n(1). n(2). n(3).");
@@ -143,11 +234,11 @@ TEST(AndExec2, SpeedupNeverBelowOne) {
 // ------------------------------------------------------------------ storm --
 // TSan stress (run in the CI tsan job's isolated step list): an 8-worker
 // Executor pool under a storm of concurrent mixed AND/OR conjunctions.
-// Every query's forked items run as child work items of one pool job;
-// the fork/join balance counters must come out even and every JoinNode
-// must resolve exactly once.
+// Every query's forked items run as child work items of one pool job
+// whose answer sink fills the items' relations without a lock; every
+// query must run to exhaustion, combine once and return the oracle's set.
 
-TEST(AndOrStorm, EightWorkerMixedQueriesBalanceForkJoinCounters) {
+TEST(AndOrStorm, EightWorkerMixedQueriesMatchTheOracle) {
   const char* kProgram = R"(
     p(1). p(2). p(3).
     q(a). q(b).
@@ -185,9 +276,6 @@ TEST(AndOrStorm, EightWorkerMixedQueriesBalanceForkJoinCounters) {
   eo.numa_aware = false;
   parallel::Executor pool(eo);
 
-  const std::uint64_t forked0 = parallel::JoinNode::total_forked();
-  const std::uint64_t joined0 = parallel::JoinNode::total_joined();
-
   constexpr int kClients = 4;
   constexpr int kRounds = 8;
   std::atomic<int> failures{0};
@@ -213,11 +301,6 @@ TEST(AndOrStorm, EightWorkerMixedQueriesBalanceForkJoinCounters) {
   for (auto& t : clients) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  // Every forked item was joined: no join resolved early (with items
-  // outstanding) and none was left dangling.
-  EXPECT_EQ(parallel::JoinNode::total_forked() - forked0,
-            parallel::JoinNode::total_joined() - joined0);
-  EXPECT_GT(parallel::JoinNode::total_forked() - forked0, 0u);
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ TEST(AndExec, IndependentGoalsCrossProduct) {
 
 TEST(AndExec, QuotedAnswerValuesMatchSequential) {
   // Values that need quotes or a space after `=` render alike on the
-  // unified, legacy and semi-join paths and in the sequential engine.
+  // cross-product and semi-join joins and in the sequential engine.
   constexpr const char* kQuoted =
       "v('Y'). v('hello world'). v(-1). w(a=b). w('it''s'). "
       "u('Y',[1,2]). u(-1,'Z').";
@@ -179,14 +179,9 @@ TEST(AndExec, QuotedAnswerValuesMatchSequential) {
   for (const char* query : {"v(X), w(Y)", "v(X), u(X,Z)"}) {
     const auto expect = engine::solution_texts(seq.solve(query));
     ASSERT_FALSE(expect.empty()) << query;
-    for (const bool unified : {true, false}) {
-      Interpreter ip;
-      ip.consult_string(kQuoted);
-      AndParallelOptions o;
-      o.unified = unified;
-      EXPECT_EQ(solve_and_parallel(ip, query, o).solutions, expect)
-          << query << (unified ? " unified" : " legacy");
-    }
+    Interpreter ip;
+    ip.consult_string(kQuoted);
+    EXPECT_EQ(solve_and_parallel(ip, query).solutions, expect) << query;
   }
 }
 

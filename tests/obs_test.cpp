@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -421,10 +422,12 @@ TEST(ChromeTrace, TracedParallelSolveExportsWorkerEvents) {
   std::uint64_t burst_total = 0;
   bool saw_solution = false;
   std::map<std::uint16_t, int> job_events;
+  std::map<std::uint16_t, std::uint16_t> job_lane;  // kind -> lane
   for (const auto& e : sink.snapshot()) {
     if (std::string_view(obs::trace_event_category(
             static_cast<EventKind>(e.kind))) == "executor") {
       ++job_events[e.kind];
+      job_lane[e.kind] = e.lane;
       continue;
     }
     EXPECT_LT(e.lane, obs::kClientLaneBase);  // engine events: worker lanes
@@ -439,6 +442,12 @@ TEST(ChromeTrace, TracedParallelSolveExportsWorkerEvents) {
   EXPECT_EQ(job_events[static_cast<std::uint16_t>(EventKind::kJobSubmit)], 1);
   EXPECT_EQ(job_events[static_cast<std::uint16_t>(EventKind::kJobStart)], 1);
   EXPECT_EQ(job_events[static_cast<std::uint16_t>(EventKind::kJobDone)], 1);
+  // The pool worker that finalizes the job records job.done on the
+  // submitter's lane, not on a lane of its own.
+  EXPECT_EQ(job_lane[static_cast<std::uint16_t>(EventKind::kJobSubmit)],
+            obs::client_lane());
+  EXPECT_EQ(job_lane[static_cast<std::uint16_t>(EventKind::kJobDone)],
+            obs::client_lane());
 
   std::ostringstream out;
   obs::write_chrome_trace(sink, out);
@@ -479,6 +488,38 @@ TEST(ChromeTrace, ServiceQueriesProduceSpansAndLatencyStats) {
   EXPECT_EQ(begins, 2u);
   EXPECT_EQ(ends, 2u);
   EXPECT_EQ(hits, 1u);
+}
+
+TEST(ChromeTrace, StreamedServiceAnswersSitOnTheQueryLane) {
+  // A streamed miss: pool workers deliver the answers, and every
+  // answer.stream event lands on the lane of its query's query.begin.
+  TraceSink sink;
+  service::ServiceOptions so;
+  so.update_weights = false;
+  so.trace = &sink;
+  so.executor_workers = 2;
+  service::QueryService svc(so);
+  svc.consult(blog::workloads::layered_dag(3, 3));
+  service::SubmitOptions sub;
+  sub.stream = true;
+  const auto ticket = svc.submit({.text = "path(n0_0,Z,P)", .workers = 2}, sub);
+  std::size_t streamed = 0;
+  while (ticket.stream()->next()) ++streamed;
+  EXPECT_EQ(ticket.wait().status, service::QueryStatus::Ok);
+  EXPECT_EQ(streamed, ticket.wait().answers.size());
+
+  std::optional<std::uint16_t> query_lane;
+  std::vector<std::uint16_t> stream_lanes;
+  for (const auto& e : sink.snapshot()) {
+    if (e.kind == static_cast<std::uint16_t>(EventKind::kQueryBegin))
+      query_lane = e.lane;
+    if (e.kind == static_cast<std::uint16_t>(EventKind::kAnswerStreamed))
+      stream_lanes.push_back(e.lane);
+  }
+  ASSERT_TRUE(query_lane.has_value());
+  EXPECT_EQ(*query_lane, obs::client_lane());
+  EXPECT_EQ(stream_lanes.size(), streamed);
+  for (const std::uint16_t lane : stream_lanes) EXPECT_EQ(lane, *query_lane);
 }
 
 TEST(ChromeTrace, NullSinkRunMatchesTracedRunAndRecordsNothing) {

@@ -408,10 +408,10 @@ std::vector<Workload> andor_workload_set() {
   };
 }
 
-/// The tentpole grid: unified AND/OR execution must be byte-identical to
-/// the sequential materializing oracle across {and-parallel on/off} ×
-/// {fork: static/runtime/off} × {workers 1,2,8}, with the strategy axis
-/// folded into the per-group engine options.
+/// The AND/OR grid: AND-parallel execution must be byte-identical to the
+/// sequential materializing oracle across {fork: static/runtime/off} ×
+/// {workers 1,2,8}, with the strategy axis folded into the per-item
+/// engine options.
 class AndOrGrid
     : public ::testing::TestWithParam<std::tuple<andp::ForkMode, unsigned>> {};
 
@@ -440,17 +440,6 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
           << " strat=" << search::strategy_name(strat);
       EXPECT_EQ(res.join_resolves, 1u) << w.name;
       EXPECT_GT(res.sequential_nodes, 0u) << w.name;  // fork-tag attribution
-
-      // And-parallel ON, pre-unification per-group path (the "unified
-      // off" axis) — same fork mode, same answers.
-      andp::AndParallelOptions lo = o;
-      lo.unified = false;
-      Interpreter leg;
-      leg.consult_string(w.program);
-      const auto lres = andp::solve_and_parallel(leg, w.query, lo);
-      EXPECT_EQ(lres.outcome, search::Outcome::Exhausted) << w.name;
-      EXPECT_EQ(solution_texts(lres.solutions), expected)
-          << w.name << " (legacy path) fork=" << andp::fork_mode_name(fork);
     }
   }
 }
@@ -478,9 +467,9 @@ TEST_P(AndOrGrid, SharedVariableSemiJoinOnOffIsByteIdentical) {
 TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
   const auto [fork, workers] = GetParam();
   // A tiny group beside a large one, with a node budget that lets the
-  // tiny group finish (and deposit its answers into the join) while the
-  // large group is still running: the poisoned join must refuse to
-  // resolve, so no partial cross-product leaks out.
+  // tiny group finish (and fill its relation) while the large group is
+  // still running: the join must not run, so no partial cross-product
+  // leaks out.
   Workload w{"partial",
              std::string("tiny(a). tiny(b). ") + layered_dag(4, 4),
              "tiny(T), path(n0_0,Z,P)"};

@@ -291,6 +291,20 @@ TEST(ServiceSnapshot, WarmBootFromInterpreterExport) {
             (std::vector<std::string>{"G=den", "G=doug"}));
 }
 
+TEST(ServiceSnapshot, WeightParamsReachTheStoreColdAndWarm) {
+  // ServiceOptions::weight_params is the service's copy of Interpreter's
+  // constructor argument: the store's "unknown" weight is N + 1.
+  const service::ServiceOptions so{.weight_params = {.n = 64, .a = 16}};
+  QueryService cold(so);
+  EXPECT_EQ(cold.weights().params().unknown(), 65.0);
+  engine::Interpreter ip;
+  ip.consult_string(workloads::figure1_family());
+  QueryService warm(ip, so);
+  EXPECT_EQ(warm.weights().params().unknown(), 65.0);
+  EXPECT_EQ(warm.query("gf(sam,G)").answers,
+            (std::vector<std::string>{"G=den", "G=doug"}));
+}
+
 TEST(ServiceSnapshot, ParseErrorPublishesNothing) {
   QueryService svc;
   svc.consult("f(a,b).");

@@ -39,6 +39,11 @@ Checks, each independent (all run; any failure fails the process):
    `->name`) somewhere under src/, so a knob whose last reader went cannot
    linger in the API.
 
+7. Set options: every data member of those structs except the ones in
+   UNSET_OK_STRUCTS is assigned (`.name =` or `->name =`, designated
+   initializers included) somewhere under ASSIGNING_ROOTS, so a knob that
+   nothing ever sets becomes a constant instead of lingering in the API.
+
 Exit code 0 = clean, 1 = findings (printed one per line, grep-friendly).
 """
 
@@ -78,6 +83,11 @@ REFERENCED_STRUCTS = {
     "include/blog/service/service.hpp": ["ServiceOptions", "QueryRequest"],
     "include/blog/andp/exec.hpp": ["AndParallelOptions"],
 }
+
+# Check 7: where an option must be assigned, and the structs exempt from it
+# (a JobRequest is a request the caller fills, not a set of knobs).
+ASSIGNING_ROOTS = ["src", "tests", "bench", "examples", "perfbench"]
+UNSET_OK_STRUCTS = {"JobRequest"}
 
 
 def err(msg: str) -> None:
@@ -302,6 +312,22 @@ def check_referenced_options() -> None:
                     f"under src/")
 
 
+def check_assigned_options() -> None:
+    code = "\n".join(strip_comments(p.read_text())
+                     for root in ASSIGNING_ROOTS
+                     for p in sorted((REPO / root).rglob("*"))
+                     if p.suffix in (".cpp", ".hpp"))
+    assigned = set(re.findall(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*=(?!=)", code))
+    for header, structs in REFERENCED_STRUCTS.items():
+        bodies = struct_bodies(strip_comments((REPO / header).read_text()))
+        for struct in structs:
+            if struct in UNSET_OK_STRUCTS or struct not in bodies:
+                continue  # a missing struct is check 6's finding
+            for field in sorted(declared_fields(bodies[struct]) - assigned):
+                err(f"{header}: {struct}::{field} is assigned nowhere under "
+                    f"{'/, '.join(ASSIGNING_ROOTS)}/: make it a constant")
+
+
 ANCHOR = re.compile(r"`([\w./-]+\.\w+):(\d+)`")
 # A backticked identifier (optionally `::`-qualified, optionally with `()`)
 # followed by nothing but spaces, `(` or `,` up to the anchor.
@@ -345,6 +371,7 @@ def main() -> int:
     check_tuning_knobs()
     check_doc_anchors()
     check_referenced_options()
+    check_assigned_options()
     if ERRORS:
         print(f"lint_blog: {len(ERRORS)} finding(s)", file=sys.stderr)
         return 1

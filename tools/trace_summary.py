@@ -17,7 +17,9 @@ Checks (any failure exits 1):
   - with --require-events N, at least N non-metadata events were recorded.
 
 Prints a per-event-kind count table, the per-lane event split, the
-steal/spill traffic totals, and the --top-spans longest query spans.
+steal/spill traffic totals (steals are `steal.take` events; victim scans
+that found a target, `steal.attempt`, print as attempts), and the
+--top-spans longest query spans.
 """
 
 import argparse
@@ -116,11 +118,10 @@ def main():
     print("\nevents by lane:")
     for tid in sorted(by_lane):
         print(f"  {by_lane[tid]:8d}  tid {tid} ({lane_names.get(tid, '?')})")
-    steals = sum(n for name, n in by_name.items()
-                 if name.startswith("steal."))
     spills = sum(n for name, n in by_name.items()
                  if name.startswith("spill."))
-    print(f"\nsteal events: {steals}   spill events: {spills}")
+    print(f"\nsteals: {by_name['steal.take']}   steal attempts: "
+          f"{by_name['steal.attempt']}   spill events: {spills}")
     if spans:
         spans.sort(reverse=True)
         print(f"\ntop {min(args.top_spans, len(spans))} longest query spans:")
