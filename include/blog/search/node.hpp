@@ -40,7 +40,8 @@ struct Goal {
 struct Arc {
   db::PointerKey key;    ///< which weighted pointer was followed
   double weight = 0.0;   ///< weight read at decision time
-  db::WeightKind kind_at_use = db::WeightKind::Unknown;  ///< kind then
+  /// The pointer's weight cell: §5 updates read and write through it.
+  db::WeightCell* cell = nullptr;
 };
 
 /// Immutable leafward-growing chain of arcs (shared between siblings'
@@ -219,7 +220,8 @@ public:
   [[nodiscard]] std::span<const db::ClauseId> candidates_for(
       const term::Store& store, const Goal& goal) const;
   /// Arc for resolving `goal` with `clause`, reading the weight now
-  /// (decision time) per the §5 model.
+  /// (decision time) per the §5 model. The arc keeps the pointer's weight
+  /// cell, made on first touch, so updates need no second lookup.
   [[nodiscard]] Arc make_arc(const Goal& goal, db::ClauseId clause,
                              const Chain* parent_chain) const;
   /// Static-analysis verdicts for predicate `p`, or nullptr when the

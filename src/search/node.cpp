@@ -110,8 +110,8 @@ Arc Expander::make_arc(const Goal& goal, db::ClauseId clause,
     arc.key.context =
         parent_chain ? parent_chain->arc.key.callee : db::kQueryClause;
   }
-  arc.weight = weights_.weight(arc.key);
-  arc.kind_at_use = weights_.classify(arc.weight);
+  arc.cell = &weights_.cell(arc.key);
+  arc.weight = weights_.weight(*arc.cell);
   return arc;
 }
 

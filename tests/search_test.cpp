@@ -250,14 +250,14 @@ protected:
     for (const Arc& a : arcs) c = std::make_shared<Chain>(Chain{a, c});
     return c;  // last element of the list is the leaf arc
   }
-  Arc arc(std::uint32_t callee, double w, db::WeightKind k) {
-    return Arc{db::PointerKey{0, 0, callee}, w, k};
+  Arc arc(std::uint32_t callee, double w) {
+    const db::PointerKey key{0, 0, callee};
+    return Arc{key, w, &ws.cell(key)};
   }
 };
 
 TEST_F(UpdateRules, FailureSetsNearestLeafUnknownToInfinity) {
-  auto c = chain({arc(1, 17, db::WeightKind::Unknown),
-                  arc(2, 17, db::WeightKind::Unknown)});
+  auto c = chain({arc(1, 17), arc(2, 17)});
   ASSERT_TRUE(update_on_failure(ws, c.get()));
   EXPECT_EQ(ws.kind(db::PointerKey{0, 0, 2}), db::WeightKind::Infinite);  // leaf
   EXPECT_EQ(ws.kind(db::PointerKey{0, 0, 1}), db::WeightKind::Unknown);   // root side
@@ -265,23 +265,20 @@ TEST_F(UpdateRules, FailureSetsNearestLeafUnknownToInfinity) {
 
 TEST_F(UpdateRules, FailureNoopWhenChainAlreadyInfinite) {
   ws.set_session(db::PointerKey{0, 0, 1}, ws.params().infinity());
-  auto c = chain({arc(1, 128, db::WeightKind::Infinite),
-                  arc(2, 17, db::WeightKind::Unknown)});
+  auto c = chain({arc(1, 128), arc(2, 17)});
   EXPECT_FALSE(update_on_failure(ws, c.get()));
   EXPECT_EQ(ws.kind(db::PointerKey{0, 0, 2}), db::WeightKind::Unknown);
 }
 
 TEST_F(UpdateRules, FailureNoopWhenAllKnown) {
   ws.set_session(db::PointerKey{0, 0, 1}, 4.0);
-  auto c = chain({arc(1, 4, db::WeightKind::Known)});
+  auto c = chain({arc(1, 4)});
   EXPECT_FALSE(update_on_failure(ws, c.get()));
 }
 
 TEST_F(UpdateRules, SuccessDistributesRemainderEqually) {
   ws.set_session(db::PointerKey{0, 0, 1}, 6.0);  // known
-  auto c = chain({arc(1, 6, db::WeightKind::Known),
-                  arc(2, 17, db::WeightKind::Unknown),
-                  arc(3, 17, db::WeightKind::Unknown)});
+  auto c = chain({arc(1, 6), arc(2, 17), arc(3, 17)});
   EXPECT_EQ(update_on_success(ws, c.get()), 2u);
   EXPECT_DOUBLE_EQ(ws.weight(db::PointerKey{0, 0, 2}), 5.0);  // (16-6)/2
   EXPECT_DOUBLE_EQ(ws.weight(db::PointerKey{0, 0, 3}), 5.0);
@@ -291,16 +288,14 @@ TEST_F(UpdateRules, SuccessDistributesRemainderEqually) {
 TEST_F(UpdateRules, SuccessWithKnownSumAboveNSetsZero) {
   ws.set_session(db::PointerKey{0, 0, 1}, 10.0);
   ws.set_session(db::PointerKey{0, 0, 2}, 9.0);
-  auto c = chain({arc(1, 10, db::WeightKind::Known),
-                  arc(2, 9, db::WeightKind::Known),
-                  arc(3, 17, db::WeightKind::Unknown)});
+  auto c = chain({arc(1, 10), arc(2, 9), arc(3, 17)});
   EXPECT_EQ(update_on_success(ws, c.get()), 1u);
   EXPECT_DOUBLE_EQ(ws.weight(db::PointerKey{0, 0, 3}), 0.0);
 }
 
 TEST_F(UpdateRules, SuccessResetsInfiniteWeights) {
   ws.set_session(db::PointerKey{0, 0, 1}, ws.params().infinity());
-  auto c = chain({arc(1, 128, db::WeightKind::Infinite)});
+  auto c = chain({arc(1, 128)});
   EXPECT_EQ(update_on_success(ws, c.get()), 1u);
   EXPECT_DOUBLE_EQ(ws.weight(db::PointerKey{0, 0, 1}), 16.0);  // full N
 }
@@ -308,14 +303,13 @@ TEST_F(UpdateRules, SuccessResetsInfiniteWeights) {
 TEST_F(UpdateRules, SuccessAllKnownNoChange) {
   ws.set_session(db::PointerKey{0, 0, 1}, 8.0);
   ws.set_session(db::PointerKey{0, 0, 2}, 8.0);
-  auto c = chain({arc(1, 8, db::WeightKind::Known), arc(2, 8, db::WeightKind::Known)});
+  auto c = chain({arc(1, 8), arc(2, 8)});
   EXPECT_EQ(update_on_success(ws, c.get()), 0u);
   EXPECT_DOUBLE_EQ(ws.weight(db::PointerKey{0, 0, 1}), 8.0);
 }
 
 TEST_F(UpdateRules, ChainLengthCounts) {
-  auto c = chain({arc(1, 1, db::WeightKind::Known), arc(2, 1, db::WeightKind::Known),
-                  arc(3, 1, db::WeightKind::Known)});
+  auto c = chain({arc(1, 1), arc(2, 1), arc(3, 1)});
   EXPECT_EQ(chain_length(c.get()), 3u);
   EXPECT_EQ(chain_length(nullptr), 0u);
 }

@@ -44,6 +44,16 @@ Checks, each independent (all run; any failure fails the process):
    initializers included) somewhere under ASSIGNING_ROOTS, so a knob that
    nothing ever sets becomes a constant instead of lingering in the API.
 
+8. §5 weights stay off the lock on the search path.
+   - src/search/update.cpp never passes a pointer key (`.key`) to a
+     `WeightStore` accessor that takes a `PointerKey`: the failure and
+     success walks read and write through the cell each arc carries.
+   - src/db/weights.cpp takes a lock (`lock_guard`, `unique_lock`,
+     `scoped_lock`, `.lock()`) only inside the `WeightStore` functions in
+     WEIGHT_LOCKING_FUNCTIONS (session boundaries and inspection), and
+     include/blog/db/weights.hpp takes none, so the cell lookup
+     `Expander::make_arc` uses and every weight read stay lock-free.
+
 Exit code 0 = clean, 1 = findings (printed one per line, grep-friendly).
 """
 
@@ -88,6 +98,12 @@ REFERENCED_STRUCTS = {
 # (a JobRequest is a request the caller fills, not a set of knobs).
 ASSIGNING_ROOTS = ["src", "tests", "bench", "examples", "perfbench"]
 UNSET_OK_STRUCTS = {"JobRequest"}
+
+# Check 8: the only WeightStore functions that may take its lock.
+WEIGHT_LOCKING_FUNCTIONS = {"begin_session", "end_session", "snapshot",
+                            "session_size", "global_size"}
+LOCK_USE = re.compile(r"\b(?:lock_guard|unique_lock|scoped_lock)\b|"
+                      r"\.(?:try_)?lock\(\)")
 
 
 def err(msg: str) -> None:
@@ -362,6 +378,53 @@ def check_doc_anchors() -> None:
                     f"`{last}` is not within {ANCHOR_SLACK} lines of it")
 
 
+def call_args(text: str, open_paren: int) -> str:
+    """Text between the `(` at `open_paren` and its matching `)`."""
+    depth, i = 1, open_paren + 1
+    while depth and i < len(text):
+        depth += {"(": 1, ")": -1}.get(text[i], 0)
+        i += 1
+    return text[open_paren + 1:i - 1]
+
+
+def check_weights_off_the_lock() -> None:
+    hpp_path = "include/blog/db/weights.hpp"
+    hpp = strip_comments((REPO / hpp_path).read_text())
+    store = struct_bodies(hpp).get("WeightStore", "")
+    keyed = set(re.findall(r"\b(\w+)\s*\(\s*const\s+PointerKey\s*&", store))
+    if not keyed:
+        err(f"{hpp_path}: no WeightStore accessor taking a PointerKey "
+            "(check 8)")
+    update_path = "src/search/update.cpp"
+    update = strip_comments((REPO / update_path).read_text())
+    for m in re.finditer(r"[.>]\s*(\w+)\s*\(", update):
+        if m.group(1) in keyed and re.search(
+                r"\.\s*key\b", call_args(update, m.end() - 1)):
+            line = update.count("\n", 0, m.start()) + 1
+            err(f"{update_path}:{line}: keyed WeightStore::{m.group(1)} on "
+                "the update path; go through the arc's cell (check 8)")
+    for m in LOCK_USE.finditer(hpp):
+        line = hpp.count("\n", 0, m.start()) + 1
+        err(f"{hpp_path}:{line}: lock in the weight store header; reads and "
+            "cell lookups must stay lock-free (check 8)")
+    cpp_path = "src/db/weights.cpp"
+    cpp = strip_comments((REPO / cpp_path).read_text())
+    spans = []  # (name, body start, body end) of every WeightStore member
+    for m in re.finditer(r"\bWeightStore::(\w+)\s*\([^;{]*?\)[^;{]*\{", cpp):
+        depth, i = 1, m.end()
+        while depth and i < len(cpp):
+            depth += {"{": 1, "}": -1}.get(cpp[i], 0)
+            i += 1
+        spans.append((m.group(1), m.end(), i))
+    for m in LOCK_USE.finditer(cpp):
+        owner = next((n for n, lo, hi in spans if lo <= m.start() < hi), None)
+        if owner not in WEIGHT_LOCKING_FUNCTIONS:
+            line = cpp.count("\n", 0, m.start()) + 1
+            err(f"{cpp_path}:{line}: lock in {owner or 'a non-member'}; only "
+                f"{', '.join(sorted(WEIGHT_LOCKING_FUNCTIONS))} may lock "
+                "(check 8)")
+
+
 def main() -> int:
     check_head_ops()
     check_trace_events()
@@ -372,6 +435,7 @@ def main() -> int:
     check_doc_anchors()
     check_referenced_options()
     check_assigned_options()
+    check_weights_off_the_lock()
     if ERRORS:
         print(f"lint_blog: {len(ERRORS)} finding(s)", file=sys.stderr)
         return 1
